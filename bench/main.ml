@@ -1119,7 +1119,7 @@ let print_parse_costs () =
           ("wx", Profile.wx);
           ("wx+aslr", Profile.wx_aslr);
           ("wx+canary", Profile.with_canary Profile.wx);
-          ("wx+aslr+cfi", Profile.with_cfi Profile.wx_aslr);
+          ("wx+aslr+shstk", Profile.with_shadow_stack Profile.wx_aslr);
           ("wx+seccomp", Profile.with_seccomp Profile.wx);
         ])
     Loader.Arch.all;

@@ -11,8 +11,7 @@
      profile      — instruction-level profile of a matrix cell's parses
      sanitize     — the detection matrix: every cell under the taint
                     sanitizer, with symbolized exploit reports
-     metrics      — cache stats + the Prometheus-style metrics registry
-                    (cache-stats is its deprecated alias) *)
+     metrics      — cache stats + the Prometheus-style metrics registry *)
 
 open Cmdliner
 
@@ -34,7 +33,6 @@ let profile_conv =
   let feature p = function
     | "aslr" -> Some (Defense.Profile.with_entropy 12 p)
     | "canary" -> Some (Defense.Profile.with_canary p)
-    | "cfi" -> Some (Defense.Profile.with_cfi p)
     | "shstk" -> Some (Defense.Profile.with_shadow_stack p)
     | "fcfi" -> Some (Defense.Profile.with_forward_cfi p)
     | "mitigated" -> Some (Defense.Profile.with_mitigations p)
@@ -47,7 +45,7 @@ let profile_conv =
         (`Msg
           (Printf.sprintf
              "unknown profile: %s (expected none, wx, or wx+aslr, optionally \
-              extended with +canary, +cfi, +shstk, +fcfi, +mitigated, \
+              extended with +canary, +shstk, +fcfi, +mitigated, \
               +seccomp)"
              s))
     in
@@ -468,7 +466,7 @@ let botnet_cmd =
     (Cmd.info "botnet" ~doc:"Recruit a mixed-firmware fleet over poisoned DNS.")
     Term.(const run $ seed_arg)
 
-let metrics_cmd, cache_stats_cmd =
+let metrics_cmd =
   let run seed queries names capacity shards cell schedule =
     (* Part 1: a synthetic workload on a standalone sharded cache —
        repeated lookups over a name population, filling on miss, with
@@ -587,23 +585,13 @@ let metrics_cmd, cache_stats_cmd =
       const run $ seed_arg $ queries_arg $ names_arg $ capacity_arg
       $ shards_arg $ cell_arg $ schedule_arg)
   in
-  let metrics =
-    Cmd.v
-      (Cmd.info "metrics"
-         ~doc:
-           "Dump DNS-cache statistics and expose the unified metrics registry \
-            (caches, netsim packet fates, daemon, supervisor) in Prometheus \
-            text format.")
-      term
-  in
-  let deprecated =
-    Cmd.v
-      (Cmd.info "cache-stats"
-         ~doc:
-           "Deprecated alias of $(b,metrics) (kept for scripts; same output).")
-      term
-  in
-  (metrics, deprecated)
+  Cmd.v
+    (Cmd.info "metrics"
+       ~doc:
+         "Dump DNS-cache statistics and expose the unified metrics registry \
+          (caches, netsim packet fates, daemon, supervisor) in Prometheus \
+          text format.")
+    term
 
 let chaos_cmd =
   let run seed smoke shards output =
@@ -1159,7 +1147,6 @@ let () =
             sanitize_cmd;
             botnet_cmd;
             metrics_cmd;
-            cache_stats_cmd;
             chaos_cmd;
             fuzz_cmd;
             diversity_cmd;

@@ -231,8 +231,8 @@ val pp_fuzz : Format.formatter -> fuzz_report -> unit
     ("base"), plus per-boot layout diversity ("div",
     {!Connman.Dnsproxy.fork_diversified} with one {!Diversity.Pool}
     seed per device), plus the enforced embedded mitigations ("shstk",
-    shadow return stack + forward-edge CFI via the interpreters'
-    [run_mitigated]), plus both ("div+shstk").  Reports survival
+    shadow return stack + forward-edge CFI, {!Machine.Hook.cfi}), plus
+    both ("div+shstk").  Reports survival
     probability with Wilson confidence intervals per combination, and
     per-variant diversification stats (layout moves, padding,
     {!Defense.Equiv} rewrite counts, gadget count and gadget-address

@@ -18,9 +18,10 @@ module O = Machine.Outcome
    same snapshot: the taint oracle labels every wire byte, protects the
    [get_name] frame, and its first report names both the detection rule
    that fired and the exact wire offset that reached the overflow — the
-   [wire[off]@fuzz -> mem -> pc] provenance chain.  Two runs rather than
-   one because coverage (run_traced) and taint (run_sanitized) are
-   alternative interpreter loops; determinism makes the replay exact.
+   [wire[off]@fuzz -> mem -> pc] provenance chain.  Coverage and taint
+   are hooks on the same interpreter loop and could share one run, but
+   taint planning costs several times a plain step, so it is paid only
+   on the inputs that crash; determinism makes the replay exact.
 
    Everything — mutation choices, corpus growth, stats — is a pure
    function of [config.seed].  The stats JSON contains no wall-clock

@@ -2,6 +2,7 @@ open Insn
 module Mem = Memsim.Memory
 module Word = Memsim.Word
 module Outcome = Machine.Outcome
+module Hook = Machine.Hook
 
 (* [compiled] is the icache payload: the decoded instruction plus an
    execution thunk specialized at fill time for the instruction's (fixed)
@@ -16,7 +17,6 @@ type t = {
   mutable c : bool;
   mutable v : bool;
   mutable shadow : int list;
-  mutable cfi : bool;
   mutable steps : int;
   mutable branched : bool;
   icache : compiled Memsim.Icache.t option;
@@ -29,7 +29,7 @@ and compiled = {
   run : t -> kernel -> Outcome.stop_reason option;
 }
 
-let create ?(cfi = false) ?(icache = true) mem =
+let create ?(icache = true) mem =
   {
     mem;
     regs = Array.make 16 0;
@@ -38,7 +38,6 @@ let create ?(cfi = false) ?(icache = true) mem =
     c = false;
     v = false;
     shadow = [];
-    cfi;
     steps = 0;
     branched = false;
     icache =
@@ -105,18 +104,6 @@ let set_tst_flags t res =
   t.n <- Word.bit res 31;
   t.z <- res = 0
 
-(* Return-edge CFI (see cpu.mli).  [pop_shadow] both validates and pops. *)
-let check_return t target =
-  if not t.cfi then None
-  else
-    match t.shadow with
-    | expected :: rest when expected = Word.of_int target ->
-        t.shadow <- rest;
-        None
-    | expected :: _ ->
-        Some (Outcome.Cfi_violation { at = pc t; expected; got = target })
-    | [] -> Some (Outcome.Cfi_violation { at = pc t; expected = 0; got = target })
-
 (* Explicit control transfer: pc stays at the current instruction during
    execution so architectural PC reads yield start+8; [t.branched] marks
    that the fall-through pc update must be skipped.  Top-level (with the
@@ -126,22 +113,27 @@ let branch t target =
   t.branched <- true;
   set_pc t target
 
-(* Data-processing writeback: writing PC is an indirect jump
-   (`mov pc, lr` is a return and CFI-checked). *)
-let dp_write t op rd v =
+(* What a data-processing op writes to its destination, against the
+   current state. *)
+let dp_result t = function
+  | Mov (_, o) -> op2_value t o
+  | Mvn (_, o) -> Word.lognot (op2_value t o)
+  | Add (_, rn, o) -> Word.add (get t rn) (op2_value t o)
+  | Sub (_, rn, o) -> Word.sub (get t rn) (op2_value t o)
+  | Rsb (_, rn, o) -> Word.sub (op2_value t o) (get t rn)
+  | And (_, rn, o) -> get t rn land op2_value t o
+  | Orr (_, rn, o) -> get t rn lor op2_value t o
+  | Eor (_, rn, o) -> get t rn lxor op2_value t o
+  | Bic (_, rn, o) -> get t rn land Word.lognot (op2_value t o)
+  | Mul (_, rm, rs) -> Word.mul (get t rm) (get t rs)
+  | _ -> invalid_arg "Cpu.dp_result: not a data-processing op"
+
+(* Data-processing writeback: writing PC is an indirect jump. *)
+let dp_write t rd v =
   match rd with
-  | PC -> (
-      let target = Word.of_int v land lnot 1 in
-      match op with
-      | Mov (_, Reg LR) -> (
-          match check_return t target with
-          | Some stop -> Some stop
-          | None ->
-              branch t target;
-              None)
-      | _ ->
-          branch t target;
-          None)
+  | PC ->
+      branch t (Word.of_int v land lnot 1);
+      None
   | _ ->
       set t rd v;
       None
@@ -158,17 +150,10 @@ let exec t ~kernel start cond op =
           let stop =
             try
               match op with
-            | Mov (rd, o) -> dp_write t op rd (op2_value t o)
-            | Mvn (rd, o) -> dp_write t op rd (Word.lognot (op2_value t o))
-            | Add (rd, rn, o) -> dp_write t op rd (Word.add (get t rn) (op2_value t o))
-            | Sub (rd, rn, o) -> dp_write t op rd (Word.sub (get t rn) (op2_value t o))
-            | Rsb (rd, rn, o) -> dp_write t op rd (Word.sub (op2_value t o) (get t rn))
-            | And (rd, rn, o) -> dp_write t op rd (get t rn land op2_value t o)
-            | Orr (rd, rn, o) -> dp_write t op rd (get t rn lor op2_value t o)
-            | Eor (rd, rn, o) -> dp_write t op rd (get t rn lxor op2_value t o)
-            | Bic (rd, rn, o) ->
-                dp_write t op rd (get t rn land Word.lognot (op2_value t o))
-            | Mul (rd, rm, rs) -> dp_write t op rd (Word.mul (get t rm) (get t rs))
+            | Mov (rd, _) | Mvn (rd, _) | Add (rd, _, _) | Sub (rd, _, _)
+            | Rsb (rd, _, _) | And (rd, _, _) | Orr (rd, _, _) | Eor (rd, _, _)
+            | Bic (rd, _, _) | Mul (rd, _, _) ->
+                dp_write t rd (dp_result t op)
             | Cmp (rn, o) ->
                 set_cmp_flags t (get t rn) (op2_value t o);
                 None
@@ -177,23 +162,23 @@ let exec t ~kernel start cond op =
                 None
             | Ldr (rd, rn, off) ->
                 let v = Mem.read_u32 t.mem (Word.add (get t rn) off) in
-                dp_write t op rd v
+                dp_write t rd v
             | Str (rd, rn, off) ->
                 Mem.write_u32 t.mem (Word.add (get t rn) off) (get t rd);
                 None
             | Ldrb (rd, rn, off) ->
                 let v = Mem.read_u8 t.mem (Word.add (get t rn) off) in
-                dp_write t op rd v
+                dp_write t rd v
             | Strb (rd, rn, off) ->
                 Mem.write_u8 t.mem (Word.add (get t rn) off) (get t rd land 0xFF);
                 None
             | Ldr_r (rd, rn, rm) ->
-                dp_write t op rd (Mem.read_u32 t.mem (Word.add (get t rn) (get t rm)))
+                dp_write t rd (Mem.read_u32 t.mem (Word.add (get t rn) (get t rm)))
             | Str_r (rd, rn, rm) ->
                 Mem.write_u32 t.mem (Word.add (get t rn) (get t rm)) (get t rd);
                 None
             | Ldrb_r (rd, rn, rm) ->
-                dp_write t op rd (Mem.read_u8 t.mem (Word.add (get t rn) (get t rm)))
+                dp_write t rd (Mem.read_u8 t.mem (Word.add (get t rn) (get t rm)))
             | Strb_r (rd, rn, rm) ->
                 Mem.write_u8 t.mem
                   (Word.add (get t rn) (get t rm))
@@ -219,41 +204,23 @@ let exec t ~kernel start cond op =
                 List.iter2
                   (fun r v -> if r = PC then pc_target := Some v else set t r v)
                   regs values;
-                match !pc_target with
-                | None -> None
-                | Some target -> (
-                    let target = target land lnot 1 in
-                    match check_return t target with
-                    | Some stop -> Some stop
-                    | None ->
-                        branch t target;
-                        None))
+                (match !pc_target with
+                | None -> ()
+                | Some target -> branch t (target land lnot 1));
+                None)
             | B d ->
                 branch t (Word.add (Word.add start 8) d);
                 None
             | Bl d ->
-                let ret = next in
-                set t LR ret;
-                if t.cfi then t.shadow <- ret :: t.shadow;
+                set t LR next;
                 branch t (Word.add (Word.add start 8) d);
                 None
-            | Bx r -> (
-                let target = get t r land lnot 1 in
-                if r = LR then
-                  match check_return t target with
-                  | Some stop -> Some stop
-                  | None ->
-                      branch t target;
-                      None
-                else begin
-                  branch t target;
-                  None
-                end)
+            | Bx r ->
+                branch t (get t r land lnot 1);
+                None
             | Blx_r r ->
                 let target = get t r land lnot 1 in
-                let ret = next in
-                set t LR ret;
-                if t.cfi then t.shadow <- ret :: t.shadow;
+                set t LR next;
                 branch t target;
                 None
             | Svc n -> (
@@ -423,7 +390,6 @@ let compile start { cond; op } =
       fun t _ ->
         t.steps <- t.steps + 1;
         Array.unsafe_set t.regs 14 next;
-        if t.cfi then t.shadow <- next :: t.shadow;
         set_pc t target;
         None
   | Svc n when cond = AL ->
@@ -446,30 +412,33 @@ let compile_decode mem addr =
   let insn = Decode.decode mem addr in
   ({ insn; run = compile addr insn }, 4)
 
-(* Fetch-decode-execute, through the decoded-instruction cache when
-   enabled; on a hit the NX check is carried by the cache's generation
-   protocol (any byte store or [set_perm] on the page forces a
-   re-decode). *)
-let step t ~kernel =
-  let start = pc t in
+(* Fetch, through the decoded-instruction cache when enabled; on a hit
+   the NX check is carried by the cache's generation protocol (any byte
+   store or [set_perm] on the page forces a re-decode).  Uncached, the
+   instruction runs through the generic [exec], so the cache differential
+   compares [compile] against [exec]. *)
+let fetch t start =
   if start land 3 <> 0 then
-    Some
-      (Outcome.Fault
-         { Mem.addr = start; kind = Mem.Perm_exec; context = "unaligned pc" })
+    raise
+      (Mem.Fault { Mem.addr = start; kind = Mem.Perm_exec; context = "unaligned pc" })
   else
     match t.icache with
-    | Some c -> (
-        match Memsim.Icache.lookup c start ~decode:compile_decode with
-        | exception Decode.Error { addr; word } ->
-            Some (Outcome.Decode_error { addr; byte = word land 0xFF })
-        | exception Mem.Fault f -> Some (Outcome.Fault f)
-        | e -> (e.Memsim.Icache.v).run t kernel)
-    | None -> (
-        match Decode.decode t.mem start with
-        | exception Decode.Error { addr; word } ->
-            Some (Outcome.Decode_error { addr; byte = word land 0xFF })
-        | exception Mem.Fault f -> Some (Outcome.Fault f)
-        | { cond; op } -> exec t ~kernel start cond op)
+    | Some c -> (Memsim.Icache.lookup c start ~decode:compile_decode).Memsim.Icache.v
+    | None ->
+        let ({ cond; op } as insn) = Decode.decode t.mem start in
+        { insn; run = (fun t kernel -> exec t ~kernel start cond op) }
+
+(* What a failed fetch stops the run with: SIGILL, or the NX/unmapped/
+   misaligned fault. *)
+let fetch_failed = function
+  | Decode.Error { addr; word } -> Outcome.Decode_error { addr; byte = word land 0xFF }
+  | Mem.Fault f -> Outcome.Fault f
+  | e -> raise e
+
+let step t ~kernel =
+  match fetch t (pc t) with
+  | c -> c.run t kernel
+  | exception e -> Some (fetch_failed e)
 
 (* As on x86: dedicated loops with a direct compare for the zero/one-trap
    cases, a precomputed int hash set beyond that — never a per-step list
@@ -508,72 +477,99 @@ let run ?(fuel = 2_000_000) ~traps ~kernel t =
       in
       loop fuel
 
-(* Traced fetch-decode-execute — the ARM twin of the x86 [run_traced]:
-   same [step] core, telemetry on the side, untraced loops untouched.
-   Timestamps are the retired-instruction counter offset from the trace
-   clock at entry; basic-block entries are detected by comparing the
-   post-step pc against the fall-through address (every A32 instruction
-   is 4 bytes). *)
-let run_traced ?(fuel = 2_000_000) ~traps ~kernel ?trace ?profile t =
-  let module Tr = Telemetry.Trace in
-  let base_ts = match trace with Some tr -> Tr.now tr | None -> 0 in
-  let emit name args =
-    match trace with
-    | None -> ()
-    | Some tr ->
-        Tr.emit tr ~ts:(base_ts + t.steps) ~cat:"cpu" ~track:"cpu-arm" name
-          ~args
-  in
-  emit "call" [ ("entry", Tr.I (pc t)) ];
-  let peek addr =
-    match Decode.decode t.mem addr with
-    | insn -> Some insn
-    | exception Decode.Error _ -> None
-    | exception Mem.Fault _ -> None
-  in
-  let rec loop budget =
-    if budget <= 0 then Outcome.Fuel_exhausted
-    else if List.mem (pc t) traps then begin
-      emit "trap" [ ("pc", Tr.I (pc t)) ];
-      Outcome.Halted
-    end
-    else begin
-      let pc0 = pc t in
-      (match profile with
-      | None -> ()
-      | Some p -> Telemetry.Profile.record p pc0);
-      let peeked = match trace with None -> None | Some _ -> peek pc0 in
-      (match peeked with
-      | Some { op = Svc n; _ } ->
-          emit "syscall" [ ("vector", Tr.I n); ("r7", Tr.I (get t R7)) ]
-      | _ -> ());
-      match step t ~kernel with
-      | Some reason ->
-          emit "stop"
-            [ ("reason", Tr.S (Outcome.to_string reason)); ("pc", Tr.I (pc t)) ];
-          reason
-      | None ->
-          (match peeked with
-          | Some _ when pc t <> Word.add pc0 4 ->
-              emit "bb" [ ("pc", Tr.I (pc t)); ("from", Tr.I pc0) ]
-          | _ -> ());
-          loop (budget - 1)
-    end
-  in
-  let reason = loop fuel in
-  (match trace with
-  | Some tr -> Tr.set_now tr (base_ts + t.steps)
-  | None -> ());
-  reason
+(* {1 The hooked loop} *)
 
-(* Sanitized fetch-decode-execute — the ARM twin of the x86
-   [run_sanitized]: peek, run the oracle's pre-step rules against the
-   pre-state, step through the same [step] core as [run] (outcomes and
-   step counts bit-identical), then commit taint effects only if the
-   instruction retired.  All planner reads of guest memory are guarded
-   against faults; a condition-failed instruction plans nothing, exactly
-   as it executes nothing. *)
-let run_sanitized ?(fuel = 2_000_000) ~traps ~kernel ~oracle t =
+let view t =
+  {
+    Hook.track = "cpu-arm";
+    sysreg = "r7";
+    pc = (fun () -> pc t);
+    steps = (fun () -> t.steps);
+    shadow = (fun () -> t.shadow);
+    set_shadow = (fun s -> t.shadow <- s);
+  }
+
+(* Guest reads made on a hook's behalf: a read that would fault reads as
+   0 (the instruction's own execution then reports the fault), so
+   planning can never perturb execution. *)
+let try_read32 t a =
+  match Mem.read_u32 t.mem a with v -> v | exception Mem.Fault _ -> 0
+
+(* A condition-failed instruction transfers nothing.  [bx lr], [mov pc,
+   lr] and [pop {…, pc}] are returns; any other pc write is an indirect
+   jump. *)
+let transfer t start { cond; op } =
+  if not (cond_holds t cond) then Hook.Fall
+  else
+    let jump v = Hook.Jump (Word.of_int v land lnot 1) in
+    let load a = jump (try_read32 t a) in
+    match op with
+    | Bl d ->
+        Hook.Call
+          { target = Word.add (Word.add start 8) d; ret = Word.add start 4; indirect = false }
+    | Blx_r r ->
+        Hook.Call { target = get t r land lnot 1; ret = Word.add start 4; indirect = true }
+    | Bx LR | Mov (PC, Reg LR) -> Hook.Return (get t LR land lnot 1)
+    | Bx r -> jump (get t r)
+    | Mov (PC, _) | Mvn (PC, _) | Add (PC, _, _) | Sub (PC, _, _) | Rsb (PC, _, _)
+    | And (PC, _, _) | Orr (PC, _, _) | Eor (PC, _, _) | Bic (PC, _, _)
+    | Mul (PC, _, _) ->
+        jump (dp_result t op)
+    | Ldr (PC, rn, off) -> load (Word.add (get t rn) off)
+    | Ldr_r (PC, rn, rm) -> load (Word.add (get t rn) (get t rm))
+    | Pop regs when List.mem PC regs ->
+        let rec idx i = function
+          | [] -> -1
+          | PC :: _ -> i
+          | _ :: rest -> idx (i + 1) rest
+        in
+        Hook.Return (try_read32 t (Word.add (get t SP) (4 * idx 0 regs)) land lnot 1)
+    | Svc n -> Hook.Syscall { vector = n; number = get t R7 }
+    | _ -> Hook.Fall
+
+(* As on x86: one fetch per instruction, shared by every hook and by
+   execution; without hooks this is [run]. *)
+let run_hooked ?(fuel = 2_000_000) ~traps ~kernel ~hooks t =
+  match hooks with
+  | [] -> run ~fuel ~traps ~kernel t
+  | hooks ->
+      let h = Hook.compose hooks in
+      let stop e reason =
+        Option.iter (fun f -> f e) h.finish;
+        reason
+      in
+      let stopped reason = stop (Hook.Stopped reason) reason in
+      let rec loop budget =
+        if budget <= 0 then stop Hook.Out_of_fuel Outcome.Fuel_exhausted
+        else if Hook.is_trap (pc t) traps then stop Hook.Trapped Outcome.Halted
+        else begin
+          let start = pc t in
+          (match h.fetch with Some f -> f start | None -> ());
+          match fetch t start with
+          | exception e -> stopped (fetch_failed e)
+          | c -> (
+              let next = Word.add start 4 in
+              match
+                match h.check with
+                | Some check -> check ~pc:start ~next c.insn (transfer t start c.insn)
+                | None -> None
+              with
+              | Some reason -> stopped reason
+              | None -> (
+                  match c.run t kernel with
+                  | Some reason -> stopped reason
+                  | None ->
+                      (match h.retire with Some f -> f ~pc:start ~next | None -> ());
+                      loop (budget - 1)))
+        end
+      in
+      loop fuel
+
+(* The taint planner — the ARM twin of the x86 one: loads/stores/data-
+   processing ops propagate labels; [check] runs the detections against
+   the pre-state and plans, [retire] commits.  A condition-failed
+   instruction plans nothing, exactly as it executes nothing. *)
+let taint t oracle =
   let module O = Sanitizer.Oracle in
   let module Shadow = Memsim.Shadow in
   let rlab r = match r with PC -> 0 | _ -> O.reg_label oracle (reg_index r) in
@@ -581,9 +577,6 @@ let run_sanitized ?(fuel = 2_000_000) ~traps ~kernel ~oracle t =
   let mlab8 a = O.mem_label oracle a in
   let mlab32 a = O.mem_label32 oracle a in
   let lab_op2 = function Imm _ -> 0 | Reg r | Lsl (r, _) -> rlab r in
-  let try_read32 a =
-    match Mem.read_u32 t.mem a with v -> v | exception Mem.Fault _ -> 0
-  in
   let cstring_label addr =
     let rec go i =
       if i >= 256 then 0
@@ -598,18 +591,10 @@ let run_sanitized ?(fuel = 2_000_000) ~traps ~kernel ~oracle t =
     in
     go 0
   in
-  let peek addr =
-    match Decode.decode t.mem addr with
-    | insn -> Some insn
-    | exception Decode.Error _ -> None
-    | exception Mem.Fault _ -> None
-  in
   let nothing () = () in
-  let rec loop budget =
-    if budget <= 0 then Outcome.Fuel_exhausted
-    else if List.mem (pc t) traps then Outcome.Halted
-    else begin
-      let pc0 = pc t in
+  let plan pc0 { cond; op } =
+    if not (cond_holds t cond) then nothing
+    else
       let stepno = t.steps in
       let store ~addr ~len ~value ~label =
         O.store oracle ~pc:pc0 ~step:stepno ~addr ~len ~value ~label
@@ -617,291 +602,137 @@ let run_sanitized ?(fuel = 2_000_000) ~traps ~kernel ~oracle t =
       let check_pc ~target ~slot ~label ~detail =
         O.check_pc oracle ~pc:pc0 ~step:stepno ~target ~slot ~label ~detail
       in
-      let commit =
-        match peek pc0 with
-        | Some { cond; op } when cond_holds t cond -> (
-            (* Data-processing result label; a write to pc with a tainted
-               result is the hijack. *)
-            let dp rd v l =
-              if rd = PC then begin
-                check_pc ~target:(Word.of_int v land lnot 1) ~slot:0 ~label:l
-                  ~detail:"tainted value written to pc";
-                nothing
-              end
-              else fun () -> set_rlab rd l
-            in
-            match op with
-            | Cmp _ | Tst _ | B _ -> nothing
-            | Mov (rd, o) -> dp rd (op2_value t o) (lab_op2 o)
-            | Mvn (rd, o) ->
-                dp rd (Word.lognot (op2_value t o)) (lab_op2 o)
-            | Eor (rd, rn, Reg rm) when rn = rm ->
-                (* eor r, r, r clears the value — no attacker bytes
-                   survive. *)
-                dp rd 0 0
-            | Add (rd, rn, o) ->
-                dp rd
-                  (Word.add (get t rn) (op2_value t o))
-                  (Shadow.join (rlab rn) (lab_op2 o))
-            | Sub (rd, rn, o) ->
-                dp rd
-                  (Word.sub (get t rn) (op2_value t o))
-                  (Shadow.join (rlab rn) (lab_op2 o))
-            | Rsb (rd, rn, o) ->
-                dp rd
-                  (Word.sub (op2_value t o) (get t rn))
-                  (Shadow.join (rlab rn) (lab_op2 o))
-            | And (rd, rn, o) ->
-                dp rd
-                  (get t rn land op2_value t o)
-                  (Shadow.join (rlab rn) (lab_op2 o))
-            | Orr (rd, rn, o) ->
-                dp rd
-                  (get t rn lor op2_value t o)
-                  (Shadow.join (rlab rn) (lab_op2 o))
-            | Eor (rd, rn, o) ->
-                dp rd
-                  (get t rn lxor op2_value t o)
-                  (Shadow.join (rlab rn) (lab_op2 o))
-            | Bic (rd, rn, o) ->
-                dp rd
-                  (get t rn land Word.lognot (op2_value t o))
-                  (Shadow.join (rlab rn) (lab_op2 o))
-            | Mul (rd, rm, rs) ->
-                dp rd
-                  (Word.mul (get t rm) (get t rs))
-                  (Shadow.join (rlab rm) (rlab rs))
-            | Ldr (rd, rn, off) ->
-                let a = Word.add (get t rn) off in
-                let l = mlab32 a in
-                if rd = PC then begin
-                  check_pc
-                    ~target:(try_read32 a land lnot 1)
-                    ~slot:a ~label:l ~detail:"pc loaded from tainted memory";
-                  nothing
-                end
-                else fun () -> set_rlab rd l
-            | Ldr_r (rd, rn, rm) ->
-                let a = Word.add (get t rn) (get t rm) in
-                let l = mlab32 a in
-                if rd = PC then begin
-                  check_pc
-                    ~target:(try_read32 a land lnot 1)
-                    ~slot:a ~label:l ~detail:"pc loaded from tainted memory";
-                  nothing
-                end
-                else fun () -> set_rlab rd l
-            | Ldrb (rd, rn, off) ->
-                let a = Word.add (get t rn) off in
-                let l = mlab8 a in
-                fun () -> set_rlab rd l
-            | Ldrb_r (rd, rn, rm) ->
-                let a = Word.add (get t rn) (get t rm) in
-                let l = mlab8 a in
-                fun () -> set_rlab rd l
-            | Str (rd, rn, off) ->
-                let a = Word.add (get t rn) off in
-                let l = rlab rd and v = get t rd in
-                fun () -> store ~addr:a ~len:4 ~value:v ~label:l
-            | Str_r (rd, rn, rm) ->
-                let a = Word.add (get t rn) (get t rm) in
-                let l = rlab rd and v = get t rd in
-                fun () -> store ~addr:a ~len:4 ~value:v ~label:l
-            | Strb (rd, rn, off) ->
-                let a = Word.add (get t rn) off in
-                let l = rlab rd and v = get t rd land 0xFF in
-                fun () -> store ~addr:a ~len:1 ~value:v ~label:l
-            | Strb_r (rd, rn, rm) ->
-                let a = Word.add (get t rn) (get t rm) in
-                let l = rlab rd and v = get t rd land 0xFF in
-                fun () -> store ~addr:a ~len:1 ~value:v ~label:l
-            | Push regs ->
-                let n = List.length regs in
-                let base = Word.sub (get t SP) (4 * n) in
-                let slots =
-                  List.mapi
-                    (fun i r -> (Word.add base (4 * i), r, rlab r, get t r))
-                    regs
-                in
-                fun () ->
-                  List.iter
-                    (fun (a, r, l, v) ->
-                      store ~addr:a ~len:4 ~value:v ~label:l;
-                      if r = LR then O.note_ret_slot oracle a)
-                    slots
-            | Pop regs ->
-                let sp0 = get t SP in
-                let slots =
-                  List.mapi (fun i r -> (Word.add sp0 (4 * i), r)) regs
-                in
-                List.iter
-                  (fun (a, r) ->
-                    if r = PC then
-                      check_pc
-                        ~target:(try_read32 a land lnot 1)
-                        ~slot:a ~label:(mlab32 a)
-                        ~detail:"pop {…, pc} from attacker-controlled stack")
-                  slots;
-                fun () ->
-                  List.iter
-                    (fun (a, r) ->
-                      if r = PC then O.clear_ret_slot oracle a
-                      else set_rlab r (mlab32 a))
-                    slots
-            | Bl _ -> fun () -> set_rlab LR 0
-            | Bx r ->
-                check_pc
-                  ~target:(get t r land lnot 1)
-                  ~slot:0 ~label:(rlab r) ~detail:"bx through tainted register";
-                nothing
-            | Blx_r r ->
-                check_pc
-                  ~target:(get t r land lnot 1)
-                  ~slot:0 ~label:(rlab r)
-                  ~detail:"blx through tainted register";
-                fun () -> set_rlab LR 0
-            | Svc n ->
-                if n = 0 then begin
-                  let number = get t R7 in
-                  let lnum = rlab R7 in
-                  let exec =
-                    number = Machine.Sysno.execve
-                    || number = Machine.Sysno.exec_varargs
-                  in
-                  let path = get t R0 in
-                  let larg =
-                    if exec then
-                      Shadow.join (rlab R0)
-                        (Shadow.join (cstring_label path) (rlab R1))
-                    else 0
-                  in
-                  let label = Shadow.join lnum larg in
-                  if label <> 0 then
-                    O.check_syscall oracle ~pc:pc0 ~step:stepno ~number
-                      ~addr:(if exec then path else 0)
-                      ~label
-                      ~detail:
-                        (if lnum <> 0 then "tainted syscall number"
-                         else "exec path/args from attacker bytes")
-                end;
-                nothing)
-        | _ -> nothing
+      (* Data-processing result label; a write to pc with a tainted
+         result is the hijack. *)
+      let dp rd v l =
+        if rd = PC then begin
+          check_pc ~target:(Word.of_int v land lnot 1) ~slot:0 ~label:l
+            ~detail:"tainted value written to pc";
+          nothing
+        end
+        else fun () -> set_rlab rd l
       in
-      match step t ~kernel with
-      | Some reason -> reason
-      | None ->
-          commit ();
-          loop (budget - 1)
-    end
+      let load32 rd a =
+        let l = mlab32 a in
+        if rd = PC then begin
+          check_pc
+            ~target:(try_read32 t a land lnot 1)
+            ~slot:a ~label:l ~detail:"pc loaded from tainted memory";
+          nothing
+        end
+        else fun () -> set_rlab rd l
+      in
+      let store_reg ~len rd a =
+        let l = rlab rd and v = get t rd in
+        let v = if len = 1 then v land 0xFF else v in
+        fun () -> store ~addr:a ~len ~value:v ~label:l
+      in
+      match op with
+      | Cmp _ | Tst _ | B _ -> nothing
+      | Mov (rd, o) | Mvn (rd, o) -> dp rd (dp_result t op) (lab_op2 o)
+      | Eor (rd, rn, Reg rm) when rn = rm ->
+          (* eor r, r, r clears the value — no attacker bytes survive. *)
+          dp rd 0 0
+      | Add (rd, rn, o) | Sub (rd, rn, o) | Rsb (rd, rn, o) | And (rd, rn, o)
+      | Orr (rd, rn, o) | Eor (rd, rn, o) | Bic (rd, rn, o) ->
+          dp rd (dp_result t op) (Shadow.join (rlab rn) (lab_op2 o))
+      | Mul (rd, rm, rs) ->
+          dp rd (dp_result t op) (Shadow.join (rlab rm) (rlab rs))
+      | Ldr (rd, rn, off) -> load32 rd (Word.add (get t rn) off)
+      | Ldr_r (rd, rn, rm) -> load32 rd (Word.add (get t rn) (get t rm))
+      | Ldrb (rd, rn, off) ->
+          let l = mlab8 (Word.add (get t rn) off) in
+          fun () -> set_rlab rd l
+      | Ldrb_r (rd, rn, rm) ->
+          let l = mlab8 (Word.add (get t rn) (get t rm)) in
+          fun () -> set_rlab rd l
+      | Str (rd, rn, off) -> store_reg ~len:4 rd (Word.add (get t rn) off)
+      | Str_r (rd, rn, rm) -> store_reg ~len:4 rd (Word.add (get t rn) (get t rm))
+      | Strb (rd, rn, off) -> store_reg ~len:1 rd (Word.add (get t rn) off)
+      | Strb_r (rd, rn, rm) -> store_reg ~len:1 rd (Word.add (get t rn) (get t rm))
+      | Push regs ->
+          let n = List.length regs in
+          let base = Word.sub (get t SP) (4 * n) in
+          let slots =
+            List.mapi (fun i r -> (Word.add base (4 * i), r, rlab r, get t r)) regs
+          in
+          fun () ->
+            List.iter
+              (fun (a, r, l, v) ->
+                store ~addr:a ~len:4 ~value:v ~label:l;
+                if r = LR then O.note_ret_slot oracle a)
+              slots
+      | Pop regs ->
+          let sp0 = get t SP in
+          let slots = List.mapi (fun i r -> (Word.add sp0 (4 * i), r)) regs in
+          List.iter
+            (fun (a, r) ->
+              if r = PC then
+                check_pc
+                  ~target:(try_read32 t a land lnot 1)
+                  ~slot:a ~label:(mlab32 a)
+                  ~detail:"pop {…, pc} from attacker-controlled stack")
+            slots;
+          fun () ->
+            List.iter
+              (fun (a, r) ->
+                if r = PC then O.clear_ret_slot oracle a else set_rlab r (mlab32 a))
+              slots
+      | Bl _ -> fun () -> set_rlab LR 0
+      | Bx r ->
+          check_pc
+            ~target:(get t r land lnot 1)
+            ~slot:0 ~label:(rlab r) ~detail:"bx through tainted register";
+          nothing
+      | Blx_r r ->
+          check_pc
+            ~target:(get t r land lnot 1)
+            ~slot:0 ~label:(rlab r) ~detail:"blx through tainted register";
+          fun () -> set_rlab LR 0
+      | Svc n ->
+          if n = 0 then begin
+            let number = get t R7 in
+            let lnum = rlab R7 in
+            let exec =
+              number = Machine.Sysno.execve || number = Machine.Sysno.exec_varargs
+            in
+            let path = get t R0 in
+            let larg =
+              if exec then
+                Shadow.join (rlab R0) (Shadow.join (cstring_label path) (rlab R1))
+              else 0
+            in
+            let label = Shadow.join lnum larg in
+            if label <> 0 then
+              O.check_syscall oracle ~pc:pc0 ~step:stepno ~number
+                ~addr:(if exec then path else 0)
+                ~label
+                ~detail:
+                  (if lnum <> 0 then "tainted syscall number"
+                   else "exec path/args from attacker bytes")
+          end;
+          nothing
   in
-  loop fuel
+  let commit = ref nothing in
+  {
+    Hook.nothing with
+    check =
+      Some
+        (fun ~pc ~next:_ insn _ ->
+          commit := plan pc insn;
+          None);
+    retire = Some (fun ~pc:_ ~next:_ -> !commit ());
+  }
 
-(* Mitigated fetch-decode-execute — the ARM twin of the x86
-   [run_mitigated].  Enforces a software shadow return stack and
-   forward-edge CFI against the pre-state: [bl]/[blx] push the
-   fall-through onto a mirror; [bx lr], [pop {…, pc}] and [mov pc, lr]
-   must target its top; any other indirect pc write ([bx r], [blx r],
-   data-processing or load into pc) must land on an address
-   [valid_target] accepts.  A violating transfer stops with
-   [Cfi_violation] before it executes; otherwise the same [step] core as
-   [run] retires the instruction, so benign runs are bit-identical in
-   outcome, step count, and registers.  A condition-failed instruction
-   plans nothing, exactly as it executes nothing. *)
-let run_mitigated ?(fuel = 2_000_000) ~traps ~kernel ~shadow_stack ~forward_cfi
-    ~valid_target ?(shadow0 = []) t =
-  let mirror = ref shadow0 in
-  let try_read32 a =
-    match Mem.read_u32 t.mem a with v -> v | exception Mem.Fault _ -> 0
-  in
-  let peek addr =
-    match Decode.decode t.mem addr with
-    | insn -> Some insn
-    | exception Decode.Error _ -> None
-    | exception Mem.Fault _ -> None
-  in
-  let nothing () = () in
-  let rec loop budget =
-    if budget <= 0 then Outcome.Fuel_exhausted
-    else if List.mem (pc t) traps then Outcome.Halted
-    else begin
-      let pc0 = pc t in
-      let next = Word.add pc0 4 in
-      let forward target =
-        if forward_cfi && not (valid_target target) then
-          Error (Outcome.Cfi_violation { at = pc0; expected = 0; got = target })
-        else Ok nothing
-      in
-      let ret target =
-        if not shadow_stack then Ok nothing
-        else
-          match !mirror with
-          | expected :: rest when expected = target ->
-              Ok (fun () -> mirror := rest)
-          | expected :: _ ->
-              Error (Outcome.Cfi_violation { at = pc0; expected; got = target })
-          | [] ->
-              Error
-                (Outcome.Cfi_violation { at = pc0; expected = 0; got = target })
-      in
-      let push_ret () = if shadow_stack then mirror := next :: !mirror in
-      let plan =
-        match peek pc0 with
-        | Some { cond; op } when cond_holds t cond -> (
-            (* Data-processing result written to pc is an indirect
-               branch; anywhere else it is no transfer at all. *)
-            let dp rd v =
-              if rd = PC then forward (Word.of_int v land lnot 1)
-              else Ok nothing
-            in
-            match op with
-            | Bl _ -> Ok push_ret
-            | Blx_r r -> (
-                match forward (get t r land lnot 1) with
-                | Error stop -> Error stop
-                | Ok _ -> Ok push_ret)
-            | Bx r ->
-                if r = LR then ret (get t LR land lnot 1)
-                else forward (get t r land lnot 1)
-            | Mov (PC, Reg LR) -> ret (get t LR land lnot 1)
-            | Mov (rd, o) -> dp rd (op2_value t o)
-            | Mvn (rd, o) -> dp rd (Word.lognot (op2_value t o))
-            | Add (rd, rn, o) -> dp rd (Word.add (get t rn) (op2_value t o))
-            | Sub (rd, rn, o) -> dp rd (Word.sub (get t rn) (op2_value t o))
-            | Rsb (rd, rn, o) -> dp rd (Word.sub (op2_value t o) (get t rn))
-            | And (rd, rn, o) -> dp rd (get t rn land op2_value t o)
-            | Orr (rd, rn, o) -> dp rd (get t rn lor op2_value t o)
-            | Eor (rd, rn, o) -> dp rd (get t rn lxor op2_value t o)
-            | Bic (rd, rn, o) ->
-                dp rd (get t rn land Word.lognot (op2_value t o))
-            | Mul (rd, rm, rs) -> dp rd (Word.mul (get t rm) (get t rs))
-            | Ldr (rd, rn, off) ->
-                if rd = PC then
-                  forward (try_read32 (Word.add (get t rn) off) land lnot 1)
-                else Ok nothing
-            | Ldr_r (rd, rn, rm) ->
-                if rd = PC then
-                  forward
-                    (try_read32 (Word.add (get t rn) (get t rm)) land lnot 1)
-                else Ok nothing
-            | Pop regs when List.mem PC regs ->
-                let sp0 = get t SP in
-                let rec idx i = function
-                  | [] -> -1
-                  | PC :: _ -> i
-                  | _ :: rest -> idx (i + 1) rest
-                in
-                ret (try_read32 (Word.add sp0 (4 * idx 0 regs)) land lnot 1)
-            | _ -> Ok nothing)
-        | _ -> Ok nothing
-      in
-      match plan with
-      | Error stop -> stop
-      | Ok commit -> (
-          match step t ~kernel with
-          | Some reason -> reason
-          | None ->
-              commit ();
-              loop (budget - 1))
-    end
-  in
-  loop fuel
+let run_traced ?fuel ~traps ~kernel ?trace ?profile t =
+  run_hooked ?fuel ~traps ~kernel ~hooks:(Hook.observers (view t) ?trace ?profile ()) t
+
+let run_sanitized ?fuel ~traps ~kernel ~oracle t =
+  run_hooked ?fuel ~traps ~kernel ~hooks:[ taint t oracle ] t
+
+let run_mitigated ?fuel ~traps ~kernel ~shadow_stack ~forward_cfi ~valid_target
+    ?(shadow0 = []) t =
+  t.shadow <- shadow0;
+  run_hooked ?fuel ~traps ~kernel
+    ~hooks:[ Hook.cfi (view t) ~shadow_stack ~forward_cfi ~valid_target ]
+    t

@@ -6,9 +6,10 @@
     link semantics (lr = next instruction), and pc reading as
     "current + 8".
 
-    As on x86, an optional shadow stack implements return-edge CFI: [bl]
-    and [blx] push the link value; [pop {…, pc}], [bx lr] and [mov pc, lr]
-    are validated against it. *)
+    As on x86, {!run} is the tight loop and {!run_hooked} hands every
+    instruction to a list of {!Machine.Hook}s.  For the hooks, [bl] and
+    [blx] are calls; [bx lr], [mov pc, lr] and [pop {…, pc}] are returns;
+    any other pc write is an indirect jump. *)
 
 type t = {
   mem : Memsim.Memory.t;
@@ -18,7 +19,8 @@ type t = {
   mutable c : bool;
   mutable v : bool;
   mutable shadow : int list;
-  mutable cfi : bool;
+      (** shadow return stack, kept by {!Machine.Hook.cfi} (empty without
+          it) *)
   mutable steps : int;
   mutable branched : bool;
       (** interpreter-internal: the executing instruction transferred
@@ -41,7 +43,7 @@ and compiled = private {
     interpreting [insn] — the cache only ever changes speed, never
     outcomes. *)
 
-val create : ?cfi:bool -> ?icache:bool -> Memsim.Memory.t -> t
+val create : ?icache:bool -> Memsim.Memory.t -> t
 (** [icache] (default [true]) enables the write-invalidated
     decoded-instruction cache; execution is bit-identical either way
     (self-modifying pages re-decode via {!Memsim.Memory.page_gen}). *)
@@ -50,7 +52,7 @@ val get : t -> Insn.reg -> int
 (** Reading [PC] yields the architectural value (current instruction + 8). *)
 
 val set : t -> Insn.reg -> int -> unit
-(** Writing [PC] branches (no CFI check — use within the interpreter only). *)
+(** Writing [PC] branches (use within the interpreter only). *)
 
 val pc : t -> int
 (** Address of the instruction about to execute. *)
@@ -64,6 +66,38 @@ val step : t -> kernel:kernel -> Machine.Outcome.stop_reason option
 
 val run :
   ?fuel:int -> traps:int list -> kernel:kernel -> t -> Machine.Outcome.stop_reason
+(** Run until a trap address is reached ([Halted]), a stop condition fires,
+    or [fuel] instructions (default 2_000_000) have retired.  The loop is
+    specialized by trap count and carries no hook branch. *)
+
+val run_hooked :
+  ?fuel:int ->
+  traps:int list ->
+  kernel:kernel ->
+  hooks:Insn.t Machine.Hook.t list ->
+  t ->
+  Machine.Outcome.stop_reason
+(** Like {!run}, handing every instruction to [hooks] — the ARM twin of
+    the x86 [run_hooked]: one fetch per instruction (through the icache
+    when that is on), classified against the pre-state (a
+    condition-failed instruction transfers nothing) and offered to the
+    hooks before it executes.  Observer-only hooks leave outcome, step
+    count and registers exactly as {!run} leaves them.  With no hooks
+    this is {!run}. *)
+
+val view : t -> Machine.Hook.view
+(** Track ["cpu-arm"], syscall-number register ["r7"]. *)
+
+val taint : t -> Sanitizer.Oracle.t -> Insn.t Machine.Hook.t
+(** The taint sanitizer's planner — the ARM twin of the x86 one:
+    loads/stores/data-processing ops propagate labels through the
+    oracle, and the detections (redzone write, return-slot overwrite,
+    tainted pc via [pop {…, pc}]/[bx]/[blx]/pc-writing data-processing
+    ops, tainted [svc]) fire as instructions are about to retire.  The
+    oracle never touches guest state, so outcomes, step counts and
+    registers are identical sanitized or not. *)
+
+(** {2 Single-hook entry points} *)
 
 val run_traced :
   ?fuel:int ->
@@ -73,11 +107,7 @@ val run_traced :
   ?profile:Telemetry.Profile.t ->
   t ->
   Machine.Outcome.stop_reason
-(** Like {!run}, with telemetry on the side: ["cpu"]-category events
-    (call entry, basic-block entries, [svc] syscalls, traps, the stop
-    reason) into [trace], every retired pc into [profile].  Same
-    {!step} core as {!run}, so outcomes and step counts are identical
-    traced or not; the untraced loops carry no tracing branch. *)
+(** {!run_hooked} with {!Machine.Hook.observers}. *)
 
 val run_sanitized :
   ?fuel:int ->
@@ -86,14 +116,7 @@ val run_sanitized :
   oracle:Sanitizer.Oracle.t ->
   t ->
   Machine.Outcome.stop_reason
-(** Like {!run}, under the taint sanitizer — the ARM twin of the x86
-    [run_sanitized]: loads/stores/data-processing ops propagate labels
-    through [oracle], and the detections (redzone write, return-slot
-    overwrite, tainted pc via [pop {…, pc}]/[bx]/[blx]/pc-writing DP
-    ops, tainted [svc]) fire as instructions are about to retire.  Same
-    {!step} core as {!run}; the oracle never touches guest state, so
-    outcomes, step counts, and registers are bit-identical sanitized or
-    not. *)
+(** {!run_hooked} with the {!taint} planner. *)
 
 val run_mitigated :
   ?fuel:int ->
@@ -105,14 +128,5 @@ val run_mitigated :
   ?shadow0:int list ->
   t ->
   Machine.Outcome.stop_reason
-(** Like {!run}, under the enforced embedded mitigations — the ARM twin
-    of the x86 [run_mitigated].  Shadow return stack: [bl]/[blx] push
-    the fall-through onto a mirror; [bx lr], [pop {…, pc}] and
-    [mov pc, lr] must target its top.  Forward-edge CFI: any other
-    indirect pc write ([bx r]/[blx r], data-processing or load into pc)
-    must land on an address [valid_target] accepts (the loader passes
-    the symbol table — coarse-grained label CFI).  A violating transfer
-    stops the run with [Cfi_violation] {e before} it executes; benign
-    runs are bit-identical to {!run} in outcome, step count, and
-    registers.  [shadow0] seeds the mirror with the caller's synthetic
-    return address(es). *)
+(** {!run_hooked} with {!Machine.Hook.cfi}, after seeding {!t.shadow}
+    with [shadow0] (default empty). *)

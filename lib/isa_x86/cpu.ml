@@ -2,11 +2,13 @@ open Insn
 module Mem = Memsim.Memory
 module Word = Memsim.Word
 module Outcome = Machine.Outcome
+module Hook = Machine.Hook
 
-(* [compiled] is the icache payload: the decoded instruction plus an
-   execution thunk specialized at fill time for the instruction's (fixed)
-   address — successor eip and branch targets are captured constants,
-   register operands are pre-resolved array indices.  See [compile]. *)
+(* [compiled] is the icache payload: the decoded instruction, its
+   fall-through address, and an execution thunk specialized at fill time
+   for the instruction's (fixed) address — successor eip and branch
+   targets are captured constants, register operands are pre-resolved
+   array indices.  See [compile]. *)
 type t = {
   mem : Mem.t;
   regs : int array;
@@ -16,7 +18,6 @@ type t = {
   mutable cf : bool;
   mutable o_f : bool;
   mutable shadow : int list;
-  mutable cfi : bool;
   mutable steps : int;
   icache : compiled Memsim.Icache.t option;
 }
@@ -25,10 +26,11 @@ and kernel = int -> t -> Outcome.syscall_result
 
 and compiled = {
   insn : Insn.t;
+  next : int;
   run : t -> kernel -> Outcome.stop_reason option;
 }
 
-let create ?(cfi = false) ?(icache = true) mem =
+let create ?(icache = true) mem =
   {
     mem;
     regs = Array.make 8 0;
@@ -38,13 +40,12 @@ let create ?(cfi = false) ?(icache = true) mem =
     cf = false;
     o_f = false;
     shadow = [];
-    cfi;
     steps = 0;
     icache =
       (if icache then
          Some
            (Memsim.Icache.create
-              ~dummy:{ insn = Insn.Nop; run = (fun _ _ -> None) }
+              ~dummy:{ insn = Insn.Nop; next = 0; run = (fun _ _ -> None) }
               mem)
        else None);
   }
@@ -120,23 +121,8 @@ let cond_holds t = function
   | S -> t.sf
   | NS -> not t.sf
 
-(* Return-edge CFI: every call pushes the return address onto the shadow
-   stack; every ret must transfer to the address on top.  This is the
-   hardware-shadow-stack model of CFI CaRE (Nyman et al. 2017). *)
-let check_return t target =
-  if not t.cfi then None
-  else
-    match t.shadow with
-    | expected :: rest when expected = target ->
-        t.shadow <- rest;
-        None
-    | expected :: _ ->
-        Some (Outcome.Cfi_violation { at = t.eip; expected; got = target })
-    | [] -> Some (Outcome.Cfi_violation { at = t.eip; expected = 0; got = target })
-
 let do_call t target ret_addr =
   push t ret_addr;
-  if t.cfi then t.shadow <- ret_addr :: t.shadow;
   t.eip <- target
 
 (* Top-level (not a per-step closure): the ALU read-modify-write shape
@@ -280,21 +266,14 @@ let exec t ~kernel next insn =
         | Jcc (c, d) | Jcc_short (c, d) ->
             if cond_holds t c then t.eip <- Word.add next d;
             None
-        | Ret -> (
+        | Ret ->
+            t.eip <- pop t;
+            None
+        | Ret_i n ->
             let target = pop t in
-            match check_return t target with
-            | Some stop -> Some stop
-            | None ->
-                t.eip <- target;
-                None)
-        | Ret_i n -> (
-            let target = pop t in
-            match check_return t target with
-            | Some stop -> Some stop
-            | None ->
-                set t ESP (Word.add (get t ESP) n);
-                t.eip <- target;
-                None)
+            set t ESP (Word.add (get t ESP) n);
+            t.eip <- target;
+            None
         | Leave -> (
             set t ESP (get t EBP);
             set t EBP (pop t);
@@ -490,27 +469,32 @@ let compile start size insn =
    the decode address.  Top-level so the hit path allocates nothing. *)
 let compile_decode mem addr =
   let insn, size = Decode.decode mem addr in
-  ({ insn; run = compile addr size insn }, size)
+  ({ insn; next = Word.add addr size; run = compile addr size insn }, size)
 
-(* Fetch-decode-execute, through the decoded-instruction cache when
-   enabled; on a hit the NX check is carried by the cache's generation
-   protocol (any byte store or [set_perm] on the page forces a
-   re-decode). *)
-let step t ~kernel =
-  let start = t.eip in
+(* Fetch, through the decoded-instruction cache when enabled; on a hit
+   the NX check is carried by the cache's generation protocol (any byte
+   store or [set_perm] on the page forces a re-decode).  Uncached, the
+   instruction runs through the generic [exec], so the cache differential
+   compares [compile] against [exec]. *)
+let fetch t pc =
   match t.icache with
-  | Some c -> (
-      match Memsim.Icache.lookup c start ~decode:compile_decode with
-      | exception Decode.Error { addr; byte } ->
-          Some (Outcome.Decode_error { addr; byte })
-      | exception Mem.Fault f -> Some (Outcome.Fault f)
-      | e -> (e.Memsim.Icache.v).run t kernel)
-  | None -> (
-      match Decode.decode t.mem start with
-      | exception Decode.Error { addr; byte } ->
-          Some (Outcome.Decode_error { addr; byte })
-      | exception Mem.Fault f -> Some (Outcome.Fault f)
-      | insn, size -> exec t ~kernel (Word.add start size) insn)
+  | Some c -> (Memsim.Icache.lookup c pc ~decode:compile_decode).Memsim.Icache.v
+  | None ->
+      let insn, size = Decode.decode t.mem pc in
+      let next = Word.add pc size in
+      { insn; next; run = (fun t kernel -> exec t ~kernel next insn) }
+
+(* What a failed fetch stops the run with: SIGILL, or the NX/unmapped
+   fault. *)
+let fetch_failed = function
+  | Decode.Error { addr; byte } -> Outcome.Decode_error { addr; byte }
+  | Mem.Fault f -> Outcome.Fault f
+  | e -> raise e
+
+let step t ~kernel =
+  match fetch t t.eip with
+  | c -> c.run t kernel
+  | exception e -> Some (fetch_failed e)
 
 (* The per-step trap check must not scan a list: the common zero/one-trap
    cases get dedicated loops with a direct compare, anything larger a
@@ -549,83 +533,80 @@ let run ?(fuel = 2_000_000) ~traps ~kernel t =
       in
       loop fuel
 
-(* Traced fetch-decode-execute.  A separate entry point rather than a
-   flag threaded through [run]: the untraced loops above (and the
-   compiled thunks) stay untouched, which is the overhead contract —
-   tracing disabled costs zero on the hot path.  Event timestamps are
-   the retired-instruction counter offset from the trace clock at entry,
-   rendering one instruction as one µs; basic-block entries are detected
-   by comparing the post-step eip against the peeked instruction's
-   fall-through address.  Stepping itself goes through the same [step]
-   as [run], so outcomes and step counts are bit-identical traced or
-   not (the differential tests assert this across the exploit matrix). *)
-let run_traced ?(fuel = 2_000_000) ~traps ~kernel ?trace ?profile t =
-  let module Tr = Telemetry.Trace in
-  let base_ts = match trace with Some tr -> Tr.now tr | None -> 0 in
-  let emit name args =
-    match trace with
-    | None -> ()
-    | Some tr ->
-        Tr.emit tr ~ts:(base_ts + t.steps) ~cat:"cpu" ~track:"cpu-x86" name
-          ~args
-  in
-  emit "call" [ ("entry", Tr.I t.eip) ];
-  (* Peek decodes directly (not through the icache) so traced runs report
-     the same icache hit/miss counts per executed instruction as untraced
-     ones. *)
-  let peek pc =
-    match Decode.decode t.mem pc with
-    | insn, size -> Some (insn, size)
-    | exception Decode.Error _ -> None
-    | exception Mem.Fault _ -> None
-  in
-  let rec loop budget =
-    if budget <= 0 then Outcome.Fuel_exhausted
-    else if List.mem t.eip traps then begin
-      emit "trap" [ ("pc", Tr.I t.eip) ];
-      Outcome.Halted
-    end
-    else begin
-      let pc0 = t.eip in
-      (match profile with
-      | None -> ()
-      | Some p -> Telemetry.Profile.record p pc0);
-      let peeked = match trace with None -> None | Some _ -> peek pc0 in
-      (match peeked with
-      | Some (Int n, _) ->
-          emit "syscall" [ ("vector", Tr.I n); ("eax", Tr.I (get t EAX)) ]
-      | _ -> ());
-      match step t ~kernel with
-      | Some reason ->
-          emit "stop"
-            [ ("reason", Tr.S (Outcome.to_string reason)); ("pc", Tr.I t.eip) ];
-          reason
-      | None ->
-          (match peeked with
-          | Some (_, size) when t.eip <> Word.add pc0 size ->
-              emit "bb" [ ("pc", Tr.I t.eip); ("from", Tr.I pc0) ]
-          | _ -> ());
-          loop (budget - 1)
-    end
-  in
-  let reason = loop fuel in
-  (match trace with
-  | Some tr -> Tr.set_now tr (base_ts + t.steps)
-  | None -> ());
-  reason
 
-(* Sanitized fetch-decode-execute.  Like [run_traced], a separate entry
-   point so the untraced hot loops stay untouched.  Each iteration peeks
-   the next instruction, runs the oracle's pre-step rules (tainted-pc on
-   indirect control transfers, tainted-syscall on [int]) against the
-   *pre*-state, steps through the same [step] as [run] — so outcomes,
-   step counts, and registers are bit-identical to a plain run — and then,
-   only if the instruction retired, commits its taint effects (shadow
-   bytes for stores, register labels for loads/ALU ops, return-slot
-   bookkeeping for call/ret).  The oracle never touches guest state, and
-   every guest read the planner itself performs is guarded against
-   faults, so planning cannot perturb execution. *)
-let run_sanitized ?(fuel = 2_000_000) ~traps ~kernel ~oracle t =
+(* {1 The hooked loop} *)
+
+let view t =
+  {
+    Hook.track = "cpu-x86";
+    sysreg = "eax";
+    pc = (fun () -> t.eip);
+    steps = (fun () -> t.steps);
+    shadow = (fun () -> t.shadow);
+    set_shadow = (fun s -> t.shadow <- s);
+  }
+
+(* Guest reads made on a hook's behalf: a read that would fault reads as
+   0 (the instruction's own execution then reports the fault), so
+   planning can never perturb execution. *)
+let try_read32 t a =
+  match Mem.read_u32 t.mem a with v -> v | exception Mem.Fault _ -> 0
+
+let try_read_op t o = match read_op t o with v -> v | exception Mem.Fault _ -> 0
+
+let transfer t next = function
+  | Call_rel d -> Hook.Call { target = Word.add next d; ret = next; indirect = false }
+  | Call_rm o -> Hook.Call { target = try_read_op t o; ret = next; indirect = true }
+  | Jmp_rm o -> Hook.Jump (try_read_op t o)
+  | Ret | Ret_i _ -> Hook.Return (try_read32 t (get t ESP))
+  | Int n -> Hook.Syscall { vector = n; number = get t EAX }
+  | _ -> Hook.Fall
+
+(* One fetch per instruction, shared by every hook and by execution, so
+   the icache sees exactly the lookups of a hookless run.  Without hooks
+   this is [run] and its trap-specialized loops. *)
+let run_hooked ?(fuel = 2_000_000) ~traps ~kernel ~hooks t =
+  match hooks with
+  | [] -> run ~fuel ~traps ~kernel t
+  | hooks ->
+      let h = Hook.compose hooks in
+      let stop e reason =
+        Option.iter (fun f -> f e) h.finish;
+        reason
+      in
+      let stopped reason = stop (Hook.Stopped reason) reason in
+      let rec loop budget =
+        if budget <= 0 then stop Hook.Out_of_fuel Outcome.Fuel_exhausted
+        else if Hook.is_trap t.eip traps then stop Hook.Trapped Outcome.Halted
+        else begin
+          let pc = t.eip in
+          (match h.fetch with Some f -> f pc | None -> ());
+          match fetch t pc with
+          | exception e -> stopped (fetch_failed e)
+          | c -> (
+              let next = c.next in
+              match
+                match h.check with
+                | Some check -> check ~pc ~next c.insn (transfer t next c.insn)
+                | None -> None
+              with
+              | Some reason -> stopped reason
+              | None -> (
+                  match c.run t kernel with
+                  | Some reason -> stopped reason
+                  | None ->
+                      (match h.retire with Some f -> f ~pc ~next | None -> ());
+                      loop (budget - 1)))
+        end
+      in
+      loop fuel
+
+(* The taint planner.  [check] runs the oracle's pre-step rules
+   (tainted pc on indirect control transfers, tainted syscall on [int])
+   against the pre-state and plans the instruction's taint effects;
+   [retire] commits them (shadow bytes for stores, register labels for
+   loads/ALU ops, return-slot bookkeeping for call/ret). *)
+let taint t oracle =
   let module O = Sanitizer.Oracle in
   let module Shadow = Memsim.Shadow in
   let rlab r = O.reg_label oracle (reg_index r) in
@@ -634,12 +615,6 @@ let run_sanitized ?(fuel = 2_000_000) ~traps ~kernel ~oracle t =
   let mlab32 a = O.mem_label32 oracle a in
   let lab_op = function Reg r -> rlab r | Mem m -> mlab32 (ea t m) in
   let lab_op8 = function Reg r -> rlab r | Mem m -> mlab8 (ea t m) in
-  let try_read32 a =
-    match Mem.read_u32 t.mem a with v -> v | exception Mem.Fault _ -> 0
-  in
-  let try_read_op o =
-    match read_op t o with v -> v | exception Mem.Fault _ -> 0
-  in
   let try_read_op8 o =
     match read_op8 t o with v -> v | exception Mem.Fault _ -> 0
   in
@@ -659,259 +634,155 @@ let run_sanitized ?(fuel = 2_000_000) ~traps ~kernel ~oracle t =
     in
     go 0
   in
-  let peek pc =
-    match Decode.decode t.mem pc with
-    | insn, size -> Some (insn, size)
-    | exception Decode.Error _ -> None
-    | exception Mem.Fault _ -> None
-  in
   let nothing () = () in
-  let rec loop budget =
-    if budget <= 0 then Outcome.Fuel_exhausted
-    else if List.mem t.eip traps then Outcome.Halted
-    else begin
-      let pc0 = t.eip in
-      let stepno = t.steps in
-      let sp0 = get t ESP in
-      let store ~addr ~len ~value ~label =
-        O.store oracle ~pc:pc0 ~step:stepno ~addr ~len ~value ~label
-      in
-      let check_pc ~target ~slot ~label ~detail =
-        O.check_pc oracle ~pc:pc0 ~step:stepno ~target ~slot ~label ~detail
-      in
-      let slot_of = function Mem m -> ea t m | Reg _ -> 0 in
-      (* Pre-step planning: run detections against the pre-state and build
-         the commit to apply if the instruction retires. *)
-      let commit =
-        match peek pc0 with
-        | None -> nothing
-        | Some (insn, size) -> (
-            let next = Word.add pc0 size in
-            match insn with
-            | Nop | Cmp _ | Cmp_i _ | Test_rr _ | Jmp_rel _ | Jmp_short _
-            | Jcc _ | Jcc_short _ | Hlt | Inc_r _ | Dec_r _ | Shl_i _
-            | Shr_i _ | Neg (Reg _) | Not (Reg _) ->
-                nothing
-            | Push_r r ->
-                let l = rlab r and v = get t r in
-                fun () -> store ~addr:(Word.sub sp0 4) ~len:4 ~value:v ~label:l
-            | Push_i i ->
-                fun () ->
-                  store ~addr:(Word.sub sp0 4) ~len:4 ~value:(Word.of_int i)
-                    ~label:0
-            | Push_i8 i ->
-                fun () ->
-                  store ~addr:(Word.sub sp0 4) ~len:4
-                    ~value:(Word.sign8 (i land 0xFF)) ~label:0
-            | Push_m m ->
-                let a = ea t m in
-                let l = mlab32 a and v = try_read32 a in
-                fun () -> store ~addr:(Word.sub sp0 4) ~len:4 ~value:v ~label:l
-            | Pop_r r ->
-                let l = mlab32 sp0 in
-                fun () -> set_rlab r l
-            | Mov_ri (r, _) -> fun () -> set_rlab r 0
-            | Mov (Reg d, s) ->
-                let l = lab_op s in
-                fun () -> set_rlab d l
-            | Mov (Mem m, s) ->
-                let a = ea t m in
-                let l = lab_op s and v = try_read_op s in
-                fun () -> store ~addr:a ~len:4 ~value:v ~label:l
-            | Mov_mi (Reg d, _) -> fun () -> set_rlab d 0
-            | Mov_mi (Mem m, i) ->
-                let a = ea t m in
-                fun () ->
-                  store ~addr:a ~len:4 ~value:(Word.of_int i) ~label:0
-            | Mov_b (Reg d, s) ->
-                (* Only the low byte is replaced: merge rather than
-                   overwrite the register's label. *)
-                let l = Shadow.join (lab_op8 s) (rlab d) in
-                fun () -> set_rlab d l
-            | Mov_b (Mem m, s) ->
-                let a = ea t m in
-                let l = lab_op8 s and v = try_read_op8 s in
-                fun () -> store ~addr:a ~len:1 ~value:v ~label:l
-            | Movzx_b (r, s) ->
-                let l = lab_op8 s in
-                fun () -> set_rlab r l
-            | Lea (r, { base = Some b; _ }) ->
-                let l = rlab b in
-                fun () -> set_rlab r l
-            | Lea (r, { base = None; _ }) -> fun () -> set_rlab r 0
-            | Xor (Reg d, Reg s) when d = s ->
-                (* xor r, r is an idiomatic clear — the result carries no
-                   attacker bytes whatever the operand held. *)
-                fun () -> set_rlab d 0
-            | Add (d, s) | Sub (d, s) | And (d, s) | Or (d, s) | Xor (d, s)
-              -> (
-                let l = Shadow.join (lab_op d) (lab_op s) in
-                match d with
-                | Reg r -> fun () -> set_rlab r l
-                | Mem m ->
-                    let a = ea t m in
-                    fun () -> store ~addr:a ~len:4 ~value:0 ~label:l)
-            | Add_i (Reg _, _) | Sub_i (Reg _, _) -> nothing
-            | Add_i (Mem m, _) | Sub_i (Mem m, _) ->
-                let a = ea t m in
-                let l = mlab32 a in
-                fun () -> store ~addr:a ~len:4 ~value:0 ~label:l
-            | Neg (Mem m) | Not (Mem m) ->
-                let a = ea t m in
-                let l = mlab32 a in
-                fun () -> store ~addr:a ~len:4 ~value:0 ~label:l
-            | Imul (r, o) ->
-                let l = Shadow.join (rlab r) (lab_op o) in
-                fun () -> set_rlab r l
-            | Call_rel _ ->
-                let slot = Word.sub sp0 4 in
-                fun () ->
-                  store ~addr:slot ~len:4 ~value:next ~label:0;
-                  O.note_ret_slot oracle slot
-            | Call_rm o ->
-                check_pc ~target:(try_read_op o) ~slot:(slot_of o)
-                  ~label:(lab_op o) ~detail:"call through tainted pointer";
-                let slot = Word.sub sp0 4 in
-                fun () ->
-                  store ~addr:slot ~len:4 ~value:next ~label:0;
-                  O.note_ret_slot oracle slot
-            | Jmp_rm o ->
-                check_pc ~target:(try_read_op o) ~slot:(slot_of o)
-                  ~label:(lab_op o) ~detail:"jmp through tainted pointer";
-                nothing
-            | Ret | Ret_i _ ->
-                check_pc ~target:(try_read32 sp0) ~slot:sp0 ~label:(mlab32 sp0)
-                  ~detail:"ret to attacker-controlled address";
-                fun () -> O.clear_ret_slot oracle sp0
-            | Leave ->
-                let ebp0 = get t EBP in
-                let lsp = rlab EBP and lbp = mlab32 ebp0 in
-                fun () ->
-                  set_rlab ESP lsp;
-                  set_rlab EBP lbp
-            | Int n ->
-                if n = 0x80 then begin
-                  let number = get t EAX in
-                  let lnum = rlab EAX in
-                  let exec =
-                    number = Machine.Sysno.execve
-                    || number = Machine.Sysno.exec_varargs
-                  in
-                  let path = get t EBX in
-                  let larg =
-                    if exec then
-                      Shadow.join (rlab EBX)
-                        (Shadow.join (cstring_label path) (rlab ECX))
-                    else 0
-                  in
-                  let label = Shadow.join lnum larg in
-                  if label <> 0 then
-                    O.check_syscall oracle ~pc:pc0 ~step:stepno ~number
-                      ~addr:(if exec then path else 0)
-                      ~label
-                      ~detail:
-                        (if lnum <> 0 then "tainted syscall number"
-                         else "exec path/args from attacker bytes")
-                end;
-                nothing)
-      in
-      match step t ~kernel with
-      | Some reason -> reason
-      | None ->
-          commit ();
-          loop (budget - 1)
-    end
+  let plan pc0 next insn =
+    let stepno = t.steps in
+    let sp0 = get t ESP in
+    let store ~addr ~len ~value ~label =
+      O.store oracle ~pc:pc0 ~step:stepno ~addr ~len ~value ~label
+    in
+    let check_pc ~target ~slot ~label ~detail =
+      O.check_pc oracle ~pc:pc0 ~step:stepno ~target ~slot ~label ~detail
+    in
+    let slot_of = function Mem m -> ea t m | Reg _ -> 0 in
+    let push_ret () =
+      let slot = Word.sub sp0 4 in
+      fun () ->
+        store ~addr:slot ~len:4 ~value:next ~label:0;
+        O.note_ret_slot oracle slot
+    in
+    match insn with
+    | Nop | Cmp _ | Cmp_i _ | Test_rr _ | Jmp_rel _ | Jmp_short _ | Jcc _
+    | Jcc_short _ | Hlt | Inc_r _ | Dec_r _ | Shl_i _ | Shr_i _ | Neg (Reg _)
+    | Not (Reg _) ->
+        nothing
+    | Push_r r ->
+        let l = rlab r and v = get t r in
+        fun () -> store ~addr:(Word.sub sp0 4) ~len:4 ~value:v ~label:l
+    | Push_i i ->
+        fun () ->
+          store ~addr:(Word.sub sp0 4) ~len:4 ~value:(Word.of_int i) ~label:0
+    | Push_i8 i ->
+        fun () ->
+          store ~addr:(Word.sub sp0 4) ~len:4
+            ~value:(Word.sign8 (i land 0xFF)) ~label:0
+    | Push_m m ->
+        let a = ea t m in
+        let l = mlab32 a and v = try_read32 t a in
+        fun () -> store ~addr:(Word.sub sp0 4) ~len:4 ~value:v ~label:l
+    | Pop_r r ->
+        let l = mlab32 sp0 in
+        fun () -> set_rlab r l
+    | Mov_ri (r, _) -> fun () -> set_rlab r 0
+    | Mov (Reg d, s) ->
+        let l = lab_op s in
+        fun () -> set_rlab d l
+    | Mov (Mem m, s) ->
+        let a = ea t m in
+        let l = lab_op s and v = try_read_op t s in
+        fun () -> store ~addr:a ~len:4 ~value:v ~label:l
+    | Mov_mi (Reg d, _) -> fun () -> set_rlab d 0
+    | Mov_mi (Mem m, i) ->
+        let a = ea t m in
+        fun () -> store ~addr:a ~len:4 ~value:(Word.of_int i) ~label:0
+    | Mov_b (Reg d, s) ->
+        (* Only the low byte is replaced: merge rather than overwrite the
+           register's label. *)
+        let l = Shadow.join (lab_op8 s) (rlab d) in
+        fun () -> set_rlab d l
+    | Mov_b (Mem m, s) ->
+        let a = ea t m in
+        let l = lab_op8 s and v = try_read_op8 s in
+        fun () -> store ~addr:a ~len:1 ~value:v ~label:l
+    | Movzx_b (r, s) ->
+        let l = lab_op8 s in
+        fun () -> set_rlab r l
+    | Lea (r, { base = Some b; _ }) ->
+        let l = rlab b in
+        fun () -> set_rlab r l
+    | Lea (r, { base = None; _ }) -> fun () -> set_rlab r 0
+    | Xor (Reg d, Reg s) when d = s ->
+        (* xor r, r is an idiomatic clear — the result carries no
+           attacker bytes whatever the operand held. *)
+        fun () -> set_rlab d 0
+    | Add (d, s) | Sub (d, s) | And (d, s) | Or (d, s) | Xor (d, s) -> (
+        let l = Shadow.join (lab_op d) (lab_op s) in
+        match d with
+        | Reg r -> fun () -> set_rlab r l
+        | Mem m ->
+            let a = ea t m in
+            fun () -> store ~addr:a ~len:4 ~value:0 ~label:l)
+    | Add_i (Reg _, _) | Sub_i (Reg _, _) -> nothing
+    | Add_i (Mem m, _) | Sub_i (Mem m, _) | Neg (Mem m) | Not (Mem m) ->
+        let a = ea t m in
+        let l = mlab32 a in
+        fun () -> store ~addr:a ~len:4 ~value:0 ~label:l
+    | Imul (r, o) ->
+        let l = Shadow.join (rlab r) (lab_op o) in
+        fun () -> set_rlab r l
+    | Call_rel _ -> push_ret ()
+    | Call_rm o ->
+        check_pc ~target:(try_read_op t o) ~slot:(slot_of o) ~label:(lab_op o)
+          ~detail:"call through tainted pointer";
+        push_ret ()
+    | Jmp_rm o ->
+        check_pc ~target:(try_read_op t o) ~slot:(slot_of o) ~label:(lab_op o)
+          ~detail:"jmp through tainted pointer";
+        nothing
+    | Ret | Ret_i _ ->
+        check_pc ~target:(try_read32 t sp0) ~slot:sp0 ~label:(mlab32 sp0)
+          ~detail:"ret to attacker-controlled address";
+        fun () -> O.clear_ret_slot oracle sp0
+    | Leave ->
+        let ebp0 = get t EBP in
+        let lsp = rlab EBP and lbp = mlab32 ebp0 in
+        fun () ->
+          set_rlab ESP lsp;
+          set_rlab EBP lbp
+    | Int n ->
+        if n = 0x80 then begin
+          let number = get t EAX in
+          let lnum = rlab EAX in
+          let exec =
+            number = Machine.Sysno.execve || number = Machine.Sysno.exec_varargs
+          in
+          let path = get t EBX in
+          let larg =
+            if exec then
+              Shadow.join (rlab EBX) (Shadow.join (cstring_label path) (rlab ECX))
+            else 0
+          in
+          let label = Shadow.join lnum larg in
+          if label <> 0 then
+            O.check_syscall oracle ~pc:pc0 ~step:stepno ~number
+              ~addr:(if exec then path else 0)
+              ~label
+              ~detail:
+                (if lnum <> 0 then "tainted syscall number"
+                 else "exec path/args from attacker bytes")
+        end;
+        nothing
   in
-  loop fuel
+  let commit = ref nothing in
+  {
+    Hook.nothing with
+    check =
+      Some
+        (fun ~pc ~next insn _ ->
+          commit := plan pc next insn;
+          None);
+    retire = Some (fun ~pc:_ ~next:_ -> !commit ());
+  }
 
-(* Mitigated fetch-decode-execute.  Like [run_sanitized], a separate
-   entry point so the untraced hot loops stay untouched — but where the
-   sanitizer is an observer, this loop *enforces*: a return whose target
-   disagrees with the software shadow stack, or an indirect call/jmp
-   whose target is not a known entry point, stops the run with
-   [Cfi_violation] before the bad transfer executes.  Each iteration
-   peeks the next instruction (direct decode, not through the icache, so
-   icache hit/miss counts match a plain run), runs the checks against
-   the pre-state, steps through the same [step] core as [run] — benign
-   runs are bit-identical in outcome, step count, and registers — and
-   commits the shadow-stack mirror only if the instruction retired.
+let run_traced ?fuel ~traps ~kernel ?trace ?profile t =
+  run_hooked ?fuel ~traps ~kernel ~hooks:(Hook.observers (view t) ?trace ?profile ()) t
 
-   [shadow0] seeds the mirror (the caller's synthetic return address);
-   [valid_target] answers whether an address is a legitimate indirect
-   branch target (the loader passes the symbol table — coarse-grained
-   label CFI, as an embedded toolchain would implement it). *)
-let run_mitigated ?(fuel = 2_000_000) ~traps ~kernel ~shadow_stack ~forward_cfi
-    ~valid_target ?(shadow0 = []) t =
-  let mirror = ref shadow0 in
-  let try_read32 a =
-    match Mem.read_u32 t.mem a with v -> v | exception Mem.Fault _ -> 0
-  in
-  let try_read_op o =
-    match read_op t o with v -> v | exception Mem.Fault _ -> 0
-  in
-  let peek pc =
-    match Decode.decode t.mem pc with
-    | insn, size -> Some (insn, size)
-    | exception Decode.Error _ -> None
-    | exception Mem.Fault _ -> None
-  in
-  let nothing () = () in
-  let rec loop budget =
-    if budget <= 0 then Outcome.Fuel_exhausted
-    else if List.mem t.eip traps then Outcome.Halted
-    else begin
-      let pc0 = t.eip in
-      let sp0 = get t ESP in
-      (* Pre-step enforcement: [Error stop] aborts before the transfer
-         executes; [Ok commit] applies the mirror update if the
-         instruction retires. *)
-      let plan =
-        match peek pc0 with
-        | None -> Ok nothing
-        | Some (insn, size) -> (
-            let next = Word.add pc0 size in
-            let forward target =
-              if forward_cfi && not (valid_target target) then
-                Error
-                  (Outcome.Cfi_violation { at = pc0; expected = 0; got = target })
-              else Ok ()
-            in
-            let ret target =
-              if not shadow_stack then Ok nothing
-              else
-                match !mirror with
-                | expected :: rest when expected = target ->
-                    Ok (fun () -> mirror := rest)
-                | expected :: _ ->
-                    Error (Outcome.Cfi_violation { at = pc0; expected; got = target })
-                | [] ->
-                    Error
-                      (Outcome.Cfi_violation { at = pc0; expected = 0; got = target })
-            in
-            let push_ret () =
-              if shadow_stack then mirror := next :: !mirror
-            in
-            match insn with
-            | Call_rel _ -> Ok push_ret
-            | Call_rm o -> (
-                match forward (try_read_op o) with
-                | Error stop -> Error stop
-                | Ok () -> Ok push_ret)
-            | Jmp_rm o -> (
-                match forward (try_read_op o) with
-                | Error stop -> Error stop
-                | Ok () -> Ok nothing)
-            | Ret | Ret_i _ -> ret (try_read32 sp0)
-            | _ -> Ok nothing)
-      in
-      match plan with
-      | Error stop -> stop
-      | Ok commit -> (
-          match step t ~kernel with
-          | Some reason -> reason
-          | None ->
-              commit ();
-              loop (budget - 1))
-    end
-  in
-  loop fuel
+let run_sanitized ?fuel ~traps ~kernel ~oracle t =
+  run_hooked ?fuel ~traps ~kernel ~hooks:[ taint t oracle ] t
+
+let run_mitigated ?fuel ~traps ~kernel ~shadow_stack ~forward_cfi ~valid_target
+    ?(shadow0 = []) t =
+  t.shadow <- shadow0;
+  run_hooked ?fuel ~traps ~kernel
+    ~hooks:[ Hook.cfi (view t) ~shadow_stack ~forward_cfi ~valid_target ]
+    t

@@ -6,8 +6,10 @@
     stack (so a smashed return address genuinely redirects control), and
     arguments are passed on the stack (cdecl).
 
-    An optional shadow stack implements the return-edge half of CFI
-    (the CFI CaRE analogue of the paper's §IV). *)
+    Two ways to run: {!run}, the tight loop, and {!run_hooked}, the same
+    fetch–execute cycle handing every instruction to a list of
+    {!Machine.Hook}s — the taint planner ({!taint}), telemetry, and the
+    enforced shadow stack and forward-edge CFI of the paper's §IV. *)
 
 type t = {
   mem : Memsim.Memory.t;
@@ -17,8 +19,9 @@ type t = {
   mutable sf : bool;
   mutable cf : bool;
   mutable o_f : bool;
-  mutable shadow : int list;  (** CFI shadow stack (empty when disabled) *)
-  mutable cfi : bool;
+  mutable shadow : int list;
+      (** shadow return stack, kept by {!Machine.Hook.cfi} (empty without
+          it) *)
   mutable steps : int;  (** instructions retired, for benches *)
   icache : compiled Memsim.Icache.t option;
       (** decoded-instruction cache ([None] = decode every step) *)
@@ -31,14 +34,15 @@ and kernel = int -> t -> Machine.Outcome.syscall_result
 
 and compiled = private {
   insn : Insn.t;
+  next : int;  (** fall-through address *)
   run : t -> kernel -> Machine.Outcome.stop_reason option;
 }
-(** Icache payload: the decoded instruction plus an execution thunk
-    specialized for the instruction's address (successor eip and branch
-    targets pre-resolved).  Behaviorally identical to interpreting
+(** Icache payload: the decoded instruction, its fall-through address,
+    and an execution thunk specialized for the instruction's address
+    (successor eip and branch targets pre-resolved).  Behaviorally identical to interpreting
     [insn] — the cache only ever changes speed, never outcomes. *)
 
-val create : ?cfi:bool -> ?icache:bool -> Memsim.Memory.t -> t
+val create : ?icache:bool -> Memsim.Memory.t -> t
 (** [icache] (default [true]) enables the write-invalidated
     decoded-instruction cache; execution is bit-identical either way
     (self-modifying pages re-decode via {!Memsim.Memory.page_gen}). *)
@@ -58,7 +62,38 @@ val step : t -> kernel:kernel -> Machine.Outcome.stop_reason option
 val run :
   ?fuel:int -> traps:int list -> kernel:kernel -> t -> Machine.Outcome.stop_reason
 (** Run until a trap address is reached ([Halted]), a stop condition fires,
-    or [fuel] instructions (default 2_000_000) have retired. *)
+    or [fuel] instructions (default 2_000_000) have retired.  The loop is
+    specialized by trap count and carries no hook branch. *)
+
+val run_hooked :
+  ?fuel:int ->
+  traps:int list ->
+  kernel:kernel ->
+  hooks:Insn.t Machine.Hook.t list ->
+  t ->
+  Machine.Outcome.stop_reason
+(** Like {!run}, handing every instruction to [hooks] (see
+    {!Machine.Hook}): each instruction is fetched once, through the
+    icache when that is on (so icache hit/miss counts match {!run}),
+    classified — [call]/[ret]/[jmp] through a register or memory/[int] —
+    and offered to the hooks before it executes; the hooks hear when it
+    retires and how the run ended.  Hooks that only observe leave
+    outcome, step count and registers exactly as {!run} leaves them.
+    With no hooks this is {!run}. *)
+
+val view : t -> Machine.Hook.view
+(** Track ["cpu-x86"], syscall-number register ["eax"]. *)
+
+val taint : t -> Sanitizer.Oracle.t -> Insn.t Machine.Hook.t
+(** The taint sanitizer's planner: every load/store/ALU op propagates
+    labels through the oracle's shadow state, and the oracle's detections
+    (redzone write, return-slot overwrite, tainted pc, tainted syscall)
+    fire as instructions are about to retire.  The oracle never touches
+    guest state, and every guest read the planner makes is guarded
+    against faults, so outcomes, step counts and registers are identical
+    sanitized or not — whether or not reports fire. *)
+
+(** {2 Single-hook entry points} *)
 
 val run_traced :
   ?fuel:int ->
@@ -68,15 +103,8 @@ val run_traced :
   ?profile:Telemetry.Profile.t ->
   t ->
   Machine.Outcome.stop_reason
-(** Like {!run}, with telemetry: emits ["cpu"]-category events (call
-    entry, basic-block entries, syscalls, traps, the stop reason) into
-    [trace] and records every retired pc into [profile].  Timestamps are
-    the retired-instruction counter offset from the trace clock at entry
-    (one instruction per µs); the trace clock is advanced past the run on
-    return.  Stepping goes through the same {!step} core as {!run}, so
-    outcomes and step counts are identical traced or not.  This is a
-    separate entry point precisely so {!run}'s hot loops carry no
-    tracing branch. *)
+(** {!run_hooked} with {!Machine.Hook.observers}: ["cpu"]-category events
+    into [trace], every fetched pc into [profile]. *)
 
 val run_sanitized :
   ?fuel:int ->
@@ -85,16 +113,7 @@ val run_sanitized :
   oracle:Sanitizer.Oracle.t ->
   t ->
   Machine.Outcome.stop_reason
-(** Like {!run}, under the taint sanitizer: every load/store/ALU op
-    propagates labels through [oracle]'s shadow state, and the oracle's
-    detections (redzone write, return-slot overwrite, tainted pc,
-    tainted syscall) fire as instructions are about to retire.  Stepping
-    goes through the same {!step} core as {!run} and the oracle never
-    touches guest state, so outcomes, step counts, and registers are
-    bit-identical sanitized or not — whether or not reports fire (the
-    differential tests assert this unconditionally).  A separate entry
-    point, like {!run_traced}, so the untraced hot loops stay free of
-    sanitizer branches. *)
+(** {!run_hooked} with the {!taint} planner. *)
 
 val run_mitigated :
   ?fuel:int ->
@@ -106,15 +125,8 @@ val run_mitigated :
   ?shadow0:int list ->
   t ->
   Machine.Outcome.stop_reason
-(** Like {!run}, under the enforced embedded mitigations: a software
-    shadow return stack ([call] pushes onto a mirror, [ret]/[ret n] must
-    target its top) and forward-edge CFI ([call]/[jmp] through a
-    register or memory operand must land on an address [valid_target]
-    accepts — the loader passes the symbol table, i.e. coarse-grained
-    label CFI).  A violating transfer stops the run with
-    [Cfi_violation] {e before} it executes.  Stepping goes through the
-    same {!step} core as {!run}, so benign runs are bit-identical in
-    outcome, step count, and registers; like {!run_traced} and
-    {!run_sanitized} this is a separate entry point so the plain hot
-    loops carry no mitigation branch.  [shadow0] seeds the mirror with
-    the caller's synthetic return address(es). *)
+(** {!run_hooked} with {!Machine.Hook.cfi}, after seeding {!t.shadow}
+    with [shadow0] (default empty) — the caller's synthetic return
+    address(es).  A violating [ret]/[ret n] or indirect [call]/[jmp]
+    stops with [Cfi_violation] at that instruction, before it
+    executes. *)

@@ -100,22 +100,23 @@ val call :
   run_result
 (** Call a function following the architecture's convention (cdecl stack
     arguments on x86, r0–r3 on ARM; at most 4 args on ARM) on a fresh
-    stack at the top of the stack region.  The CPU is created with CFI
-    enforcement per the profile and, unless [icache:false], with the
-    decoded-instruction cache (bit-identical execution either way — the
-    differential tests step every exploit scenario both ways).  [on_step]
-    observes every program-counter value before the instruction executes
-    (single-step debugging).  [sanitizer] routes the call through the
-    ISA's [run_sanitized] (taint propagation + exploit detections against
-    the given oracle; outcomes, step counts and registers identical to a
-    plain call).  [trace]/[profile] route it through [run_traced] (events
-    + per-pc counts; same identity).  When the process profile carries
-    the embedded mitigations ({!Defense.Profile.mitigated}), the call
-    runs under the ISA's [run_mitigated] enforcement loop (shadow return
-    stack + forward-edge CFI against {!t.valid_targets}; benign runs
-    identical to a plain call).  Precedence: [on_step], then
-    [sanitizer], then [trace]/[profile], then mitigations — observer
-    modes watch unmodified executions. *)
+    stack at the top of the stack region.  The CPU is created, unless
+    [icache:false], with the decoded-instruction cache (bit-identical
+    execution either way — the differential tests step every exploit
+    scenario both ways).
+
+    Every call runs the ISA's hooked loop with one list of
+    {!Machine.Hook}s: [on_step] sees every program-counter value before
+    the instruction executes (single-step debugging), [profile] counts
+    them, [trace] receives ["cpu"]-category events, [sanitizer] runs the
+    ISA's taint planner against the given oracle, and — when the process
+    profile carries the embedded mitigations
+    ({!Defense.Profile.mitigated}) — {!Machine.Hook.cfi} enforces the
+    shadow return stack and forward-edge CFI against {!t.valid_targets}.
+    Observers and enforcement compose: outcome, step count and registers
+    depend on the profile alone, never on which observers are attached.
+    With no observer and no mitigation, the call runs the plain tight
+    loop. *)
 
 val call_named :
   ?fuel:int ->

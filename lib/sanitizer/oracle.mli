@@ -1,11 +1,11 @@
 (** Shadow-memory exploit oracle: byte-granular taint state plus the
-    detection rules the sanitized interpreter loops fire against.
+    detection rules the interpreters' taint hooks fire against.
 
     The oracle owns everything the sanitizer knows that the CPU does not:
     the shadow map (one label per guest byte — {!Memsim.Shadow}),
     per-register taint for both ISAs, the provenance table of taint
     sources (one per attacker-controlled datagram), the return-address
-    slot map, and the stack redzones.  The [run_sanitized] loops in
+    slot map, and the stack redzones.  The taint hooks of
     [Isa_x86.Cpu] / [Isa_arm.Cpu] feed it three things — stores, indirect
     control transfers, and syscalls — and it decides whether each one is
     a finding.
@@ -92,7 +92,7 @@ val taint : t -> src:int -> int -> len:int -> unit
 (** [taint t ~src addr ~len] marks [len] guest bytes starting at [addr]
     as bytes [0..len-1] of source [src]. *)
 
-(** {1 Shadow accessors (used by the propagation loops and tests)} *)
+(** {1 Shadow accessors (used by the taint hooks and tests)} *)
 
 val mem_label : t -> int -> Shadow.label
 val mem_label32 : t -> int -> Shadow.label
@@ -108,8 +108,8 @@ val tainted_bytes : t -> int
 (** {1 Frame protection} *)
 
 val note_ret_slot : t -> int -> unit
-(** Register a 4-byte return-address slot at [addr].  The sanitized
-    loops call this as [call]/[push {…, lr}] retire; the daemon also
+(** Register a 4-byte return-address slot at [addr].  The taint hooks
+    call this as [call]/[push {…, lr}] retire; the daemon also
     registers the overflow frame's slot statically from
     {!Machine.Stack_frame} geometry. *)
 
@@ -124,7 +124,7 @@ val protect_frame : t -> buffer:int -> Machine.Stack_frame.t -> unit
 (** Register the frame's return slot ([buffer + off_ret]) and a redzone
     covering [buffer + buffer_size, buffer + frame_end). *)
 
-(** {1 Detection entry points (called by the sanitized loops)} *)
+(** {1 Detection entry points (called by the taint hooks)} *)
 
 val store :
   t -> pc:int -> step:int -> addr:int -> len:int -> value:int ->

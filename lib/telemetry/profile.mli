@@ -1,6 +1,6 @@
 (** Instruction-level profiler.
 
-    The traced interpreters call {!record} with the program counter of
+    The interpreters' profile hook calls {!record} with the program counter of
     every retired instruction; reporting buckets the raw pc counts by
     nearest symbol using a caller-supplied [symbolize] function (in
     practice [Exploit.Debugger.symbolize], which renders

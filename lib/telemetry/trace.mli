@@ -17,8 +17,10 @@
 
     The instrumented code paths live beside — never inside — the hot
     interpreter loops: a disabled trace ([None] in the owning module)
-    costs at most one branch on a cold path, and the CPU run loops are
-    untouched (see the overhead contract in DESIGN.md). *)
+    costs at most one branch on a cold path, and the CPU's plain run loop
+    carries no tracing branch — the interpreters emit through a hook on
+    their separate hooked loop (see the overhead contract in
+    DESIGN.md). *)
 
 type arg = I of int | S of string | B of bool | F of float
 (** Event argument values.  Floats serialize as %.4f for determinism. *)

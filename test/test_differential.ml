@@ -465,6 +465,122 @@ let test_cached_uncached_benign () =
         (Format.asprintf "%a" O.pp cached.Loader.Process.outcome))
     [ (Loader.Arch.X86, "x86"); (Loader.Arch.Arm, "arm") ]
 
+(* Observer invariance: attaching a tracer, a profiler, the taint
+   sanitizer or a single-step observer must not change what runs — not
+   the outcome, the step count or any register of the call, and not the
+   daemon's disposition.  That includes enforcement: every cell also runs
+   under each embedded-mitigation profile, where the shadow stack must go
+   on blocking the exploit whatever is attached. *)
+
+type observers = { trace : bool; profile : bool; sanitizer : bool; on_step : bool }
+
+let no_observers = { trace = false; profile = false; sanitizer = false; on_step = false }
+
+let observer_sets =
+  [
+    ("trace", { no_observers with trace = true });
+    ("profile", { no_observers with profile = true });
+    ("sanitizer", { no_observers with sanitizer = true });
+    ("on_step", { no_observers with on_step = true });
+    ("trace+sanitizer", { no_observers with trace = true; sanitizer = true });
+  ]
+
+let mitigation_variants =
+  Defense.Profile.
+    [
+      ("base", Fun.id);
+      ("shstk", with_shadow_stack);
+      ("fcfi", with_forward_cfi);
+      ("shstk+fcfi", with_mitigations);
+    ]
+
+(* One machine-level parse of [raw_name]'s hostile response on a fresh
+   victim, with the oracle armed as the daemon arms it. *)
+let observed_call config ~raw_name obs =
+  let d = Connman.Dnsproxy.create config in
+  let query = Connman.Dnsproxy.make_query d lookup_name in
+  let wire = Exploit.Autogen.response_for ~query ~raw_name in
+  let len = String.length wire in
+  let proc = Connman.Dnsproxy.process d in
+  let buf = proc.Loader.Process.layout.Loader.Layout.heap_base in
+  Mem.write_bytes proc.Loader.Process.mem buf wire;
+  let sanitizer =
+    if not obs.sanitizer then None
+    else begin
+      let module Oracle = Sanitizer.Oracle in
+      let o = Oracle.create () in
+      Oracle.begin_parse o;
+      Oracle.taint o ~src:(Oracle.new_source o ~origin:"udp" ~length:len) buf ~len;
+      Oracle.protect_frame o
+        ~buffer:(Connman.Frame.buffer_addr proc)
+        (Connman.Frame.geometry config.Connman.Dnsproxy.arch);
+      Some o
+    end
+  in
+  let trace = if obs.trace then Some (Telemetry.Trace.create ()) else None in
+  let profile = if obs.profile then Some (Telemetry.Profile.create ()) else None in
+  let on_step = if obs.on_step then Some ignore else None in
+  Loader.Process.call proc ~fuel:400_000 ?on_step ?sanitizer ?trace ?profile
+    ~entry:(Loader.Process.symbol proc "parse_response")
+    ~args:[ buf; len ]
+
+(* The same response through the daemon, observers attached the daemon's
+   way (it has no single-step hook). *)
+let observed_disposition config ~raw_name obs =
+  let module D = Connman.Dnsproxy in
+  let d = D.create config in
+  if obs.trace then D.set_trace d (Some (Telemetry.Trace.create ()));
+  if obs.profile then D.set_profiler d (Some (Telemetry.Profile.create ()));
+  if obs.sanitizer then D.set_sanitizer d (Some (Sanitizer.Oracle.create ()));
+  let query = D.make_query d lookup_name in
+  D.handle_response d (Exploit.Autogen.response_for ~query ~raw_name)
+
+let test_observer_invariance () =
+  List.iter
+    (fun (cell, arch, base) ->
+      List.iter
+        (fun (variant, mitigate) ->
+          let name = cell ^ " " ^ variant in
+          let config =
+            {
+              Connman.Dnsproxy.version = Connman.Version.v1_34;
+              arch;
+              profile = mitigate base;
+              boot_seed = 41;
+              diversity_seed = None;
+            }
+          in
+          let analysis =
+            Connman.Dnsproxy.process
+              (Connman.Dnsproxy.create { config with Connman.Dnsproxy.boot_seed = 1041 })
+          in
+          match Exploit.Autogen.generate ~analysis:(Exploit.Target.connman analysis) () with
+          | Error e -> Alcotest.failf "%s: generation failed: %s" name e
+          | Ok (_payload, raw_name) ->
+              let plain = observed_call config ~raw_name no_observers in
+              let disposition d =
+                Format.asprintf "%a" Connman.Dnsproxy.pp_disposition d
+              in
+              let plain_d = observed_disposition config ~raw_name no_observers in
+              (* The variants' expected dispositions: the shadow stack
+                 blocks every cell, forward-edge CFI alone none. *)
+              Alcotest.(check bool)
+                (name ^ ": blocked iff the shadow stack is on")
+                config.Connman.Dnsproxy.profile.Defense.Profile.shadow_stack
+                (match plain_d with Connman.Dnsproxy.Blocked _ -> true | _ -> false);
+              List.iter
+                (fun (oname, obs) ->
+                  let tag = name ^ " with " ^ oname in
+                  check_same_run tag plain (observed_call config ~raw_name obs);
+                  if not obs.on_step then
+                    Alcotest.(check string)
+                      (tag ^ ": disposition")
+                      (disposition plain_d)
+                      (disposition (observed_disposition config ~raw_name obs)))
+                observer_sets)
+        mitigation_variants)
+    exploit_cells
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "differential"
@@ -484,5 +600,10 @@ let () =
           Alcotest.test_case "all exploit cells" `Quick test_cached_uncached_exploits;
           Alcotest.test_case "dos payloads" `Quick test_cached_uncached_dos;
           Alcotest.test_case "benign parses" `Quick test_cached_uncached_benign;
+        ] );
+      ( "observer invariance",
+        [
+          Alcotest.test_case "matrix cells x mitigations x observers" `Quick
+            test_observer_invariance;
         ] );
     ]

@@ -11,14 +11,14 @@ let no_kernel _n _cpu = O.Stop (O.Aborted "unexpected syscall")
 
 let text_base = 0x0001_0000
 
-let setup ?(cfi = false) ?extern program =
+let setup ?extern program =
   let mem = Mem.create () in
   let result = Asm.assemble ?extern ~base:text_base program in
   let size = max 0x1000 (String.length result.Asm.code) in
   Mem.map mem ~base:text_base ~size ~perm:Mem.rx ~name:"text";
   Mem.poke_bytes mem text_base result.Asm.code;
   Mem.map mem ~base:0x7EFF_0000 ~size:0x10000 ~perm:Mem.rw ~name:"stack";
-  let cpu = Cpu.create ~cfi mem in
+  let cpu = Cpu.create mem in
   Cpu.set cpu Insn.SP 0x7EFF_F000;
   Cpu.set_pc cpu text_base;
   (mem, cpu, result)
@@ -30,6 +30,11 @@ let run ?fuel ?(kernel = no_kernel) ?(traps = []) cpu =
 let halt_kernel n _cpu = if n = 0xFF then O.Stop O.Halted else O.Resume
 let halt = Asm.I (Insn.al (Insn.Svc 0xFF))
 let run_to_halt cpu = run ~kernel:halt_kernel cpu
+
+(* Under the enforced shadow stack alone (no forward-edge CFI). *)
+let run_shadow_stack cpu =
+  Cpu.run_mitigated ~traps:[] ~kernel:halt_kernel ~shadow_stack:true
+    ~forward_cfi:false ~valid_target:(fun _ -> true) cpu
 
 (* --- encodings: ground truth from the ARM ARM / gnu as --- *)
 
@@ -551,10 +556,21 @@ let test_cfi_blocks_smashed_pop_pc () =
       halt;
     ]
   in
-  let _, cpu, _ = setup ~cfi:true program in
-  match run ~kernel:halt_kernel cpu with
-  | O.Cfi_violation _ -> ()
-  | other -> Alcotest.failf "expected CFI violation, got %s" (O.to_string other)
+  let _, cpu, result = setup program in
+  let sym name = List.assoc name result.Asm.symbols in
+  let sp0 = Cpu.get cpu Insn.SP in
+  (match run_shadow_stack cpu with
+  | O.Cfi_violation { at; expected; got } ->
+      (* The violating instruction is the [pop {pc}] (the word before
+         [win_ptr]); it does not retire: four steps (bl, push, ldr, str),
+         pc still on it, and sp not popped. *)
+      check_int "at = the pop" (sym "win_ptr" - 4) at;
+      check_int "expected = after the bl" (text_base + 4) expected;
+      check_int "got = win" (sym "win") got;
+      check_int "pc on the pop" at (Cpu.pc cpu)
+  | other -> Alcotest.failf "expected CFI violation, got %s" (O.to_string other));
+  check_int "pop not retired" 4 cpu.Cpu.steps;
+  check_int "sp not popped" (sp0 - 4) (Cpu.get cpu Insn.SP)
 
 let test_cfi_allows_benign_nesting () =
   let open Insn in
@@ -570,8 +586,9 @@ let test_cfi_allows_benign_nesting () =
       Asm.I (al (Bx LR));
     ]
   in
-  let _, cpu, _ = setup ~cfi:true program in
-  check_bool "benign ok" true (run ~kernel:halt_kernel cpu = O.Halted)
+  let _, cpu, _ = setup program in
+  check_bool "benign ok" true (run_shadow_stack cpu = O.Halted);
+  check_int "every instruction retired" 6 cpu.Cpu.steps
 
 let test_disassemble_sweep () =
   let open Insn in

@@ -12,7 +12,7 @@ let no_kernel _n _cpu = O.Stop (O.Aborted "unexpected syscall")
 
 (* Assemble a program at a base, map text rx + a stack, return (mem, cpu,
    result).  The program is expected to end by running into [trap]. *)
-let setup ?(cfi = false) ?extern program =
+let setup ?extern program =
   let mem = Mem.create () in
   let text_base = 0x0804_8000 in
   let result = Asm.assemble ?extern ~base:text_base program in
@@ -20,12 +20,17 @@ let setup ?(cfi = false) ?extern program =
   Mem.map mem ~base:text_base ~size ~perm:Mem.rx ~name:"text";
   Mem.poke_bytes mem text_base result.Asm.code;
   Mem.map mem ~base:0xBFFF_0000 ~size:0x10000 ~perm:Mem.rw ~name:"stack";
-  let cpu = Cpu.create ~cfi mem in
+  let cpu = Cpu.create mem in
   Cpu.set cpu Insn.ESP 0xBFFF_F000;
   cpu.Cpu.eip <- text_base;
   (mem, cpu, result)
 
 let run ?fuel ?(kernel = no_kernel) cpu = Cpu.run ?fuel ~traps:[] ~kernel cpu
+
+(* Under the enforced shadow stack alone (no forward-edge CFI). *)
+let run_shadow_stack cpu =
+  Cpu.run_mitigated ~traps:[] ~kernel:no_kernel ~shadow_stack:true
+    ~forward_cfi:false ~valid_target:(fun _ -> true) cpu
 
 (* --- encode/decode --- *)
 
@@ -677,10 +682,21 @@ let test_cfi_blocks_smashed_return () =
       Asm.I Hlt;
     ]
   in
-  let _, cpu, _ = setup ~cfi:true program in
-  match run cpu with
-  | O.Cfi_violation _ -> ()
-  | other -> Alcotest.failf "expected CFI violation, got %s" (O.to_string other)
+  let _, cpu, result = setup program in
+  let sym name = List.assoc name result.Asm.symbols in
+  let sp0 = Cpu.get cpu Insn.ESP in
+  (match run_shadow_stack cpu with
+  | O.Cfi_violation { at; expected; got } ->
+      (* The violating instruction is the [ret] itself (one byte before
+         [win]); it does not retire: three steps (call, mov, mov), eip
+         still on it, and the return slot not popped. *)
+      check_int "at = the ret" (sym "win" - 1) at;
+      check_int "expected = after the call" (result.Asm.base + 5) expected;
+      check_int "got = win" (sym "win") got;
+      check_int "eip on the ret" at cpu.Cpu.eip
+  | other -> Alcotest.failf "expected CFI violation, got %s" (O.to_string other));
+  check_int "ret not retired" 3 cpu.Cpu.steps;
+  check_int "esp not popped" (sp0 - 4) (Cpu.get cpu Insn.ESP)
 
 let test_cfi_allows_benign_calls () =
   let open Insn in
@@ -696,9 +712,10 @@ let test_cfi_allows_benign_calls () =
       Asm.I Ret;
     ]
   in
-  let _, cpu, _ = setup ~cfi:true program in
-  let outcome = run cpu in
-  check_bool "benign nesting ok" true (outcome = O.Halted)
+  let _, cpu, _ = setup program in
+  let outcome = run_shadow_stack cpu in
+  check_bool "benign nesting ok" true (outcome = O.Halted);
+  check_int "every instruction retired" 9 cpu.Cpu.steps
 
 let test_disassemble_sweep () =
   let open Insn in
