@@ -29,7 +29,10 @@ and compiled = {
   run : t -> kernel -> Outcome.stop_reason option;
 }
 
-let create ?(icache = true) mem =
+let decode_table mem =
+  Memsim.Icache.table ~dummy:{ insn = al (Mov (R0, Reg R0)); run = (fun _ _ -> None) } mem
+
+let create ?(icache = true) ?table mem =
   {
     mem;
     regs = Array.make 16 0;
@@ -42,10 +45,8 @@ let create ?(icache = true) mem =
     branched = false;
     icache =
       (if icache then
-         Some
-           (Memsim.Icache.create
-              ~dummy:{ insn = al (Mov (R0, Reg R0)); run = (fun _ _ -> None) }
-              mem)
+         let table = match table with Some tb -> tb | None -> decode_table mem in
+         Some (Memsim.Icache.attach table mem)
        else None);
   }
 
@@ -592,41 +593,46 @@ let taint t oracle =
     go 0
   in
   let nothing () = () in
-  let plan pc0 { cond; op } =
+  (* The instruction being planned, which the oracle's reports name: its
+     commit runs before the next [plan] overwrites these, so the helpers
+     below need not be rebuilt per step. *)
+  let pc0 = ref 0 and stepno = ref 0 in
+  let store ~addr ~len ~value ~label =
+    O.store oracle ~pc:!pc0 ~step:!stepno ~addr ~len ~value ~label
+  in
+  let check_pc ~target ~slot ~label ~detail =
+    O.check_pc oracle ~pc:!pc0 ~step:!stepno ~target ~slot ~label ~detail
+  in
+  (* Data-processing result label; a write to pc with a tainted result
+     is the hijack. *)
+  let dp rd v l =
+    if rd = PC then begin
+      check_pc ~target:(Word.of_int v land lnot 1) ~slot:0 ~label:l
+        ~detail:"tainted value written to pc";
+      nothing
+    end
+    else fun () -> set_rlab rd l
+  in
+  let load32 rd a =
+    let l = mlab32 a in
+    if rd = PC then begin
+      check_pc
+        ~target:(try_read32 t a land lnot 1)
+        ~slot:a ~label:l ~detail:"pc loaded from tainted memory";
+      nothing
+    end
+    else fun () -> set_rlab rd l
+  in
+  let store_reg ~len rd a =
+    let l = rlab rd and v = get t rd in
+    let v = if len = 1 then v land 0xFF else v in
+    fun () -> store ~addr:a ~len ~value:v ~label:l
+  in
+  let plan pc { cond; op } =
     if not (cond_holds t cond) then nothing
-    else
-      let stepno = t.steps in
-      let store ~addr ~len ~value ~label =
-        O.store oracle ~pc:pc0 ~step:stepno ~addr ~len ~value ~label
-      in
-      let check_pc ~target ~slot ~label ~detail =
-        O.check_pc oracle ~pc:pc0 ~step:stepno ~target ~slot ~label ~detail
-      in
-      (* Data-processing result label; a write to pc with a tainted
-         result is the hijack. *)
-      let dp rd v l =
-        if rd = PC then begin
-          check_pc ~target:(Word.of_int v land lnot 1) ~slot:0 ~label:l
-            ~detail:"tainted value written to pc";
-          nothing
-        end
-        else fun () -> set_rlab rd l
-      in
-      let load32 rd a =
-        let l = mlab32 a in
-        if rd = PC then begin
-          check_pc
-            ~target:(try_read32 t a land lnot 1)
-            ~slot:a ~label:l ~detail:"pc loaded from tainted memory";
-          nothing
-        end
-        else fun () -> set_rlab rd l
-      in
-      let store_reg ~len rd a =
-        let l = rlab rd and v = get t rd in
-        let v = if len = 1 then v land 0xFF else v in
-        fun () -> store ~addr:a ~len ~value:v ~label:l
-      in
+    else begin
+      pc0 := pc;
+      stepno := t.steps;
       match op with
       | Cmp _ | Tst _ | B _ -> nothing
       | Mov (rd, o) | Mvn (rd, o) -> dp rd (dp_result t op) (lab_op2 o)
@@ -704,7 +710,7 @@ let taint t oracle =
             in
             let label = Shadow.join lnum larg in
             if label <> 0 then
-              O.check_syscall oracle ~pc:pc0 ~step:stepno ~number
+              O.check_syscall oracle ~pc:!pc0 ~step:!stepno ~number
                 ~addr:(if exec then path else 0)
                 ~label
                 ~detail:
@@ -712,6 +718,7 @@ let taint t oracle =
                    else "exec path/args from attacker bytes")
           end;
           nothing
+    end
   in
   let commit = ref nothing in
   {

@@ -30,7 +30,10 @@ and compiled = {
   run : t -> kernel -> Outcome.stop_reason option;
 }
 
-let create ?(icache = true) mem =
+let decode_table mem =
+  Memsim.Icache.table ~dummy:{ insn = Insn.Nop; next = 0; run = (fun _ _ -> None) } mem
+
+let create ?(icache = true) ?table mem =
   {
     mem;
     regs = Array.make 8 0;
@@ -43,10 +46,8 @@ let create ?(icache = true) mem =
     steps = 0;
     icache =
       (if icache then
-         Some
-           (Memsim.Icache.create
-              ~dummy:{ insn = Insn.Nop; next = 0; run = (fun _ _ -> None) }
-              mem)
+         let table = match table with Some tb -> tb | None -> decode_table mem in
+         Some (Memsim.Icache.attach table mem)
        else None);
   }
 
@@ -635,22 +636,27 @@ let taint t oracle =
     go 0
   in
   let nothing () = () in
-  let plan pc0 next insn =
-    let stepno = t.steps in
+  (* The instruction being planned, which the oracle's reports name: its
+     commit runs before the next [plan] overwrites these, so the helpers
+     below need not be rebuilt per step. *)
+  let pc0 = ref 0 and stepno = ref 0 in
+  let store ~addr ~len ~value ~label =
+    O.store oracle ~pc:!pc0 ~step:!stepno ~addr ~len ~value ~label
+  in
+  let check_pc ~target ~slot ~label ~detail =
+    O.check_pc oracle ~pc:!pc0 ~step:!stepno ~target ~slot ~label ~detail
+  in
+  let slot_of = function Mem m -> ea t m | Reg _ -> 0 in
+  let push_ret sp0 next =
+    let slot = Word.sub sp0 4 in
+    fun () ->
+      store ~addr:slot ~len:4 ~value:next ~label:0;
+      O.note_ret_slot oracle slot
+  in
+  let plan pc next insn =
+    pc0 := pc;
+    stepno := t.steps;
     let sp0 = get t ESP in
-    let store ~addr ~len ~value ~label =
-      O.store oracle ~pc:pc0 ~step:stepno ~addr ~len ~value ~label
-    in
-    let check_pc ~target ~slot ~label ~detail =
-      O.check_pc oracle ~pc:pc0 ~step:stepno ~target ~slot ~label ~detail
-    in
-    let slot_of = function Mem m -> ea t m | Reg _ -> 0 in
-    let push_ret () =
-      let slot = Word.sub sp0 4 in
-      fun () ->
-        store ~addr:slot ~len:4 ~value:next ~label:0;
-        O.note_ret_slot oracle slot
-    in
     match insn with
     | Nop | Cmp _ | Cmp_i _ | Test_rr _ | Jmp_rel _ | Jmp_short _ | Jcc _
     | Jcc_short _ | Hlt | Inc_r _ | Dec_r _ | Shl_i _ | Shr_i _ | Neg (Reg _)
@@ -720,11 +726,11 @@ let taint t oracle =
     | Imul (r, o) ->
         let l = Shadow.join (rlab r) (lab_op o) in
         fun () -> set_rlab r l
-    | Call_rel _ -> push_ret ()
+    | Call_rel _ -> push_ret sp0 next
     | Call_rm o ->
         check_pc ~target:(try_read_op t o) ~slot:(slot_of o) ~label:(lab_op o)
           ~detail:"call through tainted pointer";
-        push_ret ()
+        push_ret sp0 next
     | Jmp_rm o ->
         check_pc ~target:(try_read_op t o) ~slot:(slot_of o) ~label:(lab_op o)
           ~detail:"jmp through tainted pointer";
@@ -754,7 +760,7 @@ let taint t oracle =
           in
           let label = Shadow.join lnum larg in
           if label <> 0 then
-            O.check_syscall oracle ~pc:pc0 ~step:stepno ~number
+            O.check_syscall oracle ~pc:!pc0 ~step:!stepno ~number
               ~addr:(if exec then path else 0)
               ~label
               ~detail:

@@ -42,10 +42,19 @@ and compiled = private {
     (successor eip and branch targets pre-resolved).  Behaviorally identical to interpreting
     [insn] — the cache only ever changes speed, never outcomes. *)
 
-val create : ?icache:bool -> Memsim.Memory.t -> t
+val decode_table : Memsim.Memory.t -> compiled Memsim.Icache.table
+(** An empty decode table for the memory's lineage, to be shared by the
+    CPUs {!create}d over that memory and its forks (a process keeps one
+    for its whole life). *)
+
+val create : ?icache:bool -> ?table:compiled Memsim.Icache.table -> Memsim.Memory.t -> t
 (** [icache] (default [true]) enables the write-invalidated
     decoded-instruction cache; execution is bit-identical either way
-    (self-modifying pages re-decode via {!Memsim.Memory.page_gen}). *)
+    (self-modifying pages re-decode via {!Memsim.Memory.page_gen}).  The
+    cache attaches to [table] (default: a fresh {!decode_table}), so
+    decodes filled by earlier CPUs over the table's lineage are hits;
+    the {!t.icache} handle's counters start at zero.  Raises
+    [Invalid_argument] if [table] is of another lineage. *)
 
 val get : t -> Insn.reg -> int
 val set : t -> Insn.reg -> int -> unit

@@ -13,6 +13,10 @@ type spec = {
   bss_size : int;
 }
 
+type decoded =
+  | X86_decoded of Isa_x86.Cpu.compiled Memsim.Icache.table
+  | Arm_decoded of Isa_arm.Cpu.compiled Memsim.Icache.table
+
 type t = {
   spec : spec;
   arch : Arch.t;
@@ -22,6 +26,7 @@ type t = {
   symbols : (string * int) list;
   trap : int;
   valid_targets : (int, unit) Hashtbl.t Lazy.t;
+  decoded : decoded;
 }
 
 (* The forward-edge CFI policy set: every symbol address — function
@@ -148,6 +153,10 @@ let boot spec ~profile ~seed =
     symbols;
     trap = trap_addr;
     valid_targets = targets_of_symbols symbols;
+    decoded =
+      (match arch with
+      | Arch.X86 -> X86_decoded (Isa_x86.Cpu.decode_table mem)
+      | Arch.Arm -> Arm_decoded (Isa_arm.Cpu.decode_table mem));
   }
 
 let symbol t name = List.assoc name t.symbols
@@ -163,8 +172,9 @@ let symbol_opt t name = List.assoc_opt name t.symbols
    [__bss_start], [__canary]) are recovered from the symbol table, so
    the variant links against the already-mapped world.  Returns [None]
    when the variant does not fit (caller falls back to a full [boot]).
-   The [poke_bytes] writes bump the page generations, so any live
-   decoded-instruction cache re-decodes the new text. *)
+   The [poke_bytes] writes draw fresh page generations, so the decode
+   table, which the variant keeps sharing with its lineage, re-fills the
+   new text while the template's other forks keep hitting theirs. *)
 let reimage t spec' =
   if arch_of_code spec'.code <> t.arch then
     invalid_arg "Process.reimage: architecture mismatch";
@@ -200,13 +210,20 @@ let reimage t spec' =
       }
   end
 
-(* Everything in [t] except [mem] is immutable after boot (layout,
-   symbols, profile), so process snapshots delegate entirely to the
-   memory's copy-on-write layer and a fork is just a record copy around a
-   forked memory. *)
+(* Everything in [t] except [mem] and the decode table's contents is
+   immutable after boot (layout, symbols, profile), so process snapshots
+   delegate entirely to the memory's copy-on-write layer and a fork is
+   just a record copy around a forked memory.  The fork keeps the decode
+   table: it joins the snapshot's lineage, whose generations name the
+   same bytes in every memory of it. *)
 let snapshot t = Mem.snapshot t.mem
 let restore t snap = Mem.restore t.mem snap
-let fork t snap = { t with mem = Mem.fork snap }
+
+let fork t snap =
+  let mem = Mem.fork snap in
+  if Mem.lineage mem != Mem.lineage t.mem then
+    invalid_arg "Process.fork: snapshot of another process";
+  { t with mem }
 
 type run_result = {
   outcome : O.stop_reason;
@@ -229,7 +246,10 @@ let icache_stats = function
    and no mitigation the list is empty, which is the plain tight loop.
    The register taint of a fresh call is cleared here — arguments the
    caller passes are trusted; only bytes the oracle was told to taint
-   are not. *)
+   are not.  The CPU is made afresh for every call, but its icache
+   attaches to the process's decode table, so decodes outlive the call;
+   the handle is fresh too, which makes [run_result]'s icache counters
+   this call's alone. *)
 let call ?(fuel = 2_000_000) ?(icache = true) ?on_step ?sanitizer ?trace
     ?profile t ~entry ~args =
   let p = t.profile in
@@ -258,10 +278,10 @@ let call ?(fuel = 2_000_000) ?(icache = true) ?on_step ?sanitizer ?trace
     let icache_hits, icache_misses = icache_stats icache in
     { outcome; steps; ret; regs = Array.copy regs; icache_hits; icache_misses }
   in
-  match t.arch with
-  | Arch.X86 ->
+  match t.decoded with
+  | X86_decoded table ->
       let module C = Isa_x86.Cpu in
-      let cpu = C.create ~icache t.mem in
+      let cpu = C.create ~icache ~table t.mem in
       C.set cpu Isa_x86.Insn.ESP sp;
       List.iter (C.push cpu) (List.rev args);
       C.push cpu t.trap;
@@ -272,11 +292,11 @@ let call ?(fuel = 2_000_000) ?(icache = true) ?on_step ?sanitizer ?trace
       in
       result outcome ~steps:cpu.C.steps ~ret:(C.get cpu Isa_x86.Insn.EAX)
         ~regs:cpu.C.regs cpu.C.icache
-  | Arch.Arm ->
+  | Arm_decoded table ->
       if List.length args > 4 then
         invalid_arg "Process.call: at most 4 register arguments on ARM";
       let module C = Isa_arm.Cpu in
-      let cpu = C.create ~icache t.mem in
+      let cpu = C.create ~icache ~table t.mem in
       C.set cpu Isa_arm.Insn.SP sp;
       List.iteri (fun i a -> C.set cpu (Isa_arm.Insn.reg_of_index i) a) args;
       C.set cpu Isa_arm.Insn.LR t.trap;

@@ -35,7 +35,15 @@ type t = {
           entries, PLT stubs, loader specials): coarse-grained label
           CFI as an embedded toolchain would emit it.  Lazy so
           unmitigated processes pay nothing; shared across forks. *)
+  decoded : decoded;
+      (** the decode table every {!call} with [~icache:true] reuses;
+          made at {!boot} and shared by every {!fork} and {!reimage} of
+          the process (see {!Memsim.Icache}). *)
 }
+
+and decoded =
+  | X86_decoded of Isa_x86.Cpu.compiled Memsim.Icache.table
+  | Arm_decoded of Isa_arm.Cpu.compiled Memsim.Icache.table
 
 val boot : spec -> profile:Defense.Profile.t -> seed:int -> t
 (** [seed] drives all per-boot randomness (ASLR draws, canary cookie);
@@ -75,16 +83,21 @@ val restore : t -> Memsim.Memory.snapshot -> unit
 val fork : t -> Memsim.Memory.snapshot -> t
 (** An independent process sharing this one's immutable boot state
     (layout, symbols, profile) with memory forked copy-on-write from the
-    snapshot.  The snapshot must come from this process (or a fork of
-    it). *)
+    snapshot, which must come from this process or a process it shares
+    a memory {!Memsim.Memory.lineage} with (a fork, or the template it
+    was forked from); raises [Invalid_argument] otherwise.  The fork
+    shares this process's decode table ({!t.decoded}), so decodes of
+    pages neither has written since the snapshot are hits in both. *)
 
 type run_result = {
   outcome : Machine.Outcome.stop_reason;
   steps : int;  (** instructions retired during the call *)
   ret : int;  (** eax / r0 at stop time *)
   regs : int array;  (** full register file at stop time (8 on x86, 16 on ARM) *)
-  icache_hits : int;  (** decoded-instruction cache hits (0 if disabled) *)
-  icache_misses : int;
+  icache_hits : int;
+      (** decoded-instruction cache hits during this call (0 if
+          disabled) *)
+  icache_misses : int;  (** fills during this call *)
 }
 
 val call :
@@ -101,9 +114,13 @@ val call :
 (** Call a function following the architecture's convention (cdecl stack
     arguments on x86, r0–r3 on ARM; at most 4 args on ARM) on a fresh
     stack at the top of the stack region.  The CPU is created, unless
-    [icache:false], with the decoded-instruction cache (bit-identical
-    execution either way — the differential tests step every exploit
-    scenario both ways).
+    [icache:false], with the decoded-instruction cache over the process's
+    decode table ({!t.decoded}), so instructions decoded by earlier calls
+    on this process or its forks are hits when their pages are unchanged
+    (bit-identical execution either way — the differential tests step
+    every exploit scenario both ways, and interleave calls on forks that
+    share one table).  {!run_result}'s icache counters cover this call
+    only.
 
     Every call runs the ISA's hooked loop with one list of
     {!Machine.Hook}s: [on_step] sees every program-counter value before

@@ -34,9 +34,11 @@ type region = { name : string; base : int; size : int; perm : perm }
 
 (* [gen] is the page's write generation.  Every mutation of the page's
    bytes — and every permission change — stores a fresh value drawn from
-   the address space's monotonic counter, so a generation value is never
-   reused across page lifetimes or writes.  Decoded-instruction caches
-   ({!Icache}) validate against it.
+   the lineage's monotonic counter (see [lineage] below), so a generation
+   value is never reused across page lifetimes or writes, and a
+   (page index, generation) pair names one immutable content and
+   permission.  Decoded-instruction caches ({!Icache}) validate against
+   it.
 
    The generation lives in a heap cell ([int ref]) rather than a mutable
    field so {!gen_ref} can hand the cell itself to a decode cache: entry
@@ -48,7 +50,9 @@ type region = { name : string; base : int; size : int; perm : perm }
    Every byte-store path calls {!unshare} first, which swaps in a private
    copy of the buffer and clears the bit.  The invariant the snapshot
    layer relies on: a [Bytes.t] reachable from a snapshot frame is never
-   written again. *)
+   written again.  The same bit lets every freshly mapped page start on
+   the one shared [zero_page], so a mapping allocates only the pages
+   that are later written. *)
 type page = {
   mutable pperm : perm;
   mutable data : Bytes.t;
@@ -60,10 +64,22 @@ let page_size = 4096
 let page_bits = 12
 let offset_mask = page_size - 1
 
+(* Never written: every page that carries it is [frozen], so the first
+   store copies it away. *)
+let zero_page = Bytes.make page_size '\000'
+
+(* The generation counter of one address space and every memory forked
+   from it.  Sharing it is what makes a generation value unique across
+   the lineage, so forks can keep their frames' generations and decode
+   caches can be shared between them.  All forks of a lineage run on one
+   domain; the counter would have to become atomic before they ran on
+   several. *)
+type lineage = { mutable last_gen : int }
+
 type t = {
   pages : (int, page) Hashtbl.t;
   mutable regs : region list;
-  mutable gen_counter : int;
+  lineage : lineage;
   (* Last-hit page per access kind: the interpreters touch the same text /
      stack / data page over and over, so a single-entry cache turns the
      per-byte Hashtbl probe into an int compare + field load.  [gq_*] backs
@@ -92,11 +108,11 @@ let[@inline never] unshare p =
   p.data <- Bytes.copy p.data;
   p.frozen <- false
 
-let create () =
+let with_lineage lineage =
   {
     pages = Hashtbl.create 64;
     regs = [];
-    gen_counter = 0;
+    lineage;
     rd_idx = -1;
     rd_pg = null_page;
     wr_idx = -1;
@@ -107,6 +123,9 @@ let create () =
     gq_pg = null_page;
     trace = None;
   }
+
+let create () = with_lineage { last_gen = 0 }
+let lineage t = t.lineage
 
 let set_trace t tr = t.trace <- tr
 let trace t = t.trace
@@ -127,8 +146,9 @@ let fault t addr kind context =
   raise (Fault { addr; kind; context })
 
 let fresh_gen t =
-  t.gen_counter <- t.gen_counter + 1;
-  t.gen_counter
+  let l = t.lineage in
+  l.last_gen <- l.last_gen + 1;
+  l.last_gen
 
 let invalidate_page_caches t =
   t.rd_idx <- -1;
@@ -171,12 +191,7 @@ let map t ~base ~size ~perm ~name =
   done;
   for i = first to last do
     Hashtbl.replace t.pages i
-      {
-        pperm = perm;
-        data = Bytes.make page_size '\000';
-        gen = ref (fresh_gen t);
-        frozen = false;
-      }
+      { pperm = perm; data = zero_page; gen = ref (fresh_gen t); frozen = true }
   done;
   let reg = { name; base; size; perm } in
   t.regs <- reg :: t.regs;
@@ -287,8 +302,8 @@ let page_gen t addr =
 
 (* The page's generation cell itself, for decode caches to validate
    against without a call: [map] creates a fresh cell per page and
-   [unmap] retires the old cell's value, so a cell+snapshot pair can
-   never spuriously re-validate across a remap. *)
+   [unmap] retires the old cell's value, so a cache still bound to the
+   old cell after a remap can never find a live generation in it. *)
 let gen_ref t addr =
   let addr = Word.of_int addr in
   let idx = addr lsr page_bits in
@@ -509,13 +524,17 @@ let poke_bytes t addr s =
    with zero byte copying, and restore cost is proportional to the number
    of pages actually dirtied since.
 
-   Restore never rewinds [gen_counter]: a page whose bytes are swapped
-   back to snapshot contents gets a {e fresh} generation, which is exactly
-   what keeps decode caches ({!Icache}) coherent — their entries were
-   filled against the dirty bytes and must re-validate.  Untouched pages
-   (generation still equal to the frame's) keep their generation, so
-   decode-cache entries for never-written text pages survive fork/restore
-   cycles; that is the perf win that makes snapshot fuzzing cheap. *)
+   Restore never rewinds the lineage counter: a page whose bytes are
+   swapped back to snapshot contents gets a {e fresh} generation, which
+   is exactly what keeps decode caches ({!Icache}) coherent — their
+   entries were filled against the dirty bytes and must re-validate.
+   Untouched pages (generation still equal to the frame's) keep their
+   generation, so decode-cache entries for never-written text pages
+   survive fork/restore cycles; that is the perf win that makes snapshot
+   fuzzing cheap.  A fork shares the lineage counter and starts every
+   page on its frame's generation: the frame's (index, generation) pair
+   already names the frame's bytes and permission, so the fork's pages
+   validate the entries its parent and siblings filled. *)
 
 type frame = {
   f_idx : int;
@@ -525,7 +544,11 @@ type frame = {
   f_gen : int;
 }
 
-type snapshot = { s_frames : frame array; s_regs : region list }
+type snapshot = {
+  s_frames : frame array;
+  s_regs : region list;
+  s_lineage : lineage;
+}
 
 let snapshot t =
   let frames =
@@ -543,7 +566,7 @@ let snapshot t =
   | Some tr ->
       Telemetry.Trace.emit tr ~cat:"mem" ~track:"memory" "snapshot"
         ~args:[ ("pages", Telemetry.Trace.I (Array.length arr)) ]);
-  { s_frames = arr; s_regs = t.regs }
+  { s_frames = arr; s_regs = t.regs; s_lineage = t.lineage }
 
 let snapshot_pages s = Array.length s.s_frames
 
@@ -611,11 +634,11 @@ let restore t snap =
           ]
 
 let fork snap =
-  let t = create () in
+  let t = with_lineage snap.s_lineage in
   Array.iter
     (fun f ->
       Hashtbl.replace t.pages f.f_idx
-        { pperm = f.f_perm; data = f.f_data; gen = ref (fresh_gen t); frozen = true })
+        { pperm = f.f_perm; data = f.f_data; gen = ref f.f_gen; frozen = true })
     snap.s_frames;
   t.regs <- snap.s_regs;
   t

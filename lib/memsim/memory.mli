@@ -53,31 +53,50 @@ val page_size : int
 val page_bits : int
 (** [log2 page_size] = 12. *)
 
+type lineage
+(** The generation counter shared by a memory made with {!create} and
+    every memory {!fork}ed from it, directly or through other forks. *)
+
+val lineage : t -> lineage
+(** Compare with [==]: two memories share a lineage iff one was forked,
+    directly or transitively, from a snapshot of the other or both from
+    snapshots of a common ancestor. *)
+
 val page_gen : t -> int -> int
 (** Write generation of the page containing the address, or [-1] if no
     page is mapped there.  A page's generation changes on every byte
     store ({!write_u8}, {!write_u16}, {!write_u32}, {!write_bytes},
-    {!poke_bytes}) and on every permission change ({!set_perm}), and
-    generation values are never reused across page lifetimes (a page
-    remapped after {!unmap} starts at a fresh value).  This is the
-    invalidation signal for decoded-instruction caches ({!Icache}): a
-    cached decode is valid iff the generations it was filled under still
-    match. *)
+    {!poke_bytes}), on every permission change ({!set_perm}), and when
+    {!restore} swaps its bytes back; each new value is drawn from the
+    memory's {!lineage}, so no value is ever reused within a lineage —
+    not across writes, page lifetimes (a page remapped after {!unmap}
+    starts at a fresh value), or forks.
+
+    The contract decode caches ({!Icache}) rely on: within one lineage,
+    a (page index, generation) pair names one immutable page content and
+    permission, in whichever memory of the lineage the page carries it.
+    {!fork} keeps the snapshot's generations rather than drawing fresh
+    ones, so a decode filled in a parent validates in its forks (and
+    vice versa) for exactly the pages neither has changed since. *)
 
 val gen_ref : t -> int -> int ref
 (** The generation cell of the page containing the address (the cell
-    {!page_gen} reads).  Decode caches snapshot [!(gen_ref t addr)] at
-    fill time and validate an entry with a direct load + compare — no
-    call back into this module on the hit path.  Each page lifetime has
-    its own cell, and {!unmap} retires the cell's value, so a
-    (cell, snapshot) pair can never spuriously re-validate across a
-    remap.  Raises {!Fault} ([Unmapped]) if no page is mapped there. *)
+    {!page_gen} reads).  A decode cache binds the cell of the page it is
+    executing from and validates each entry with a direct load + compare
+    against the generation the entry was filled under — no call back into
+    this module on the hit path.  Each page lifetime has its own cell,
+    and {!unmap} (or a {!restore} that drops the page) retires the cell's
+    value, so a stale cell never holds a live generation.  Raises
+    {!Fault} ([Unmapped]) if no page is mapped there. *)
 
 val map : t -> base:int -> size:int -> perm:perm -> name:string -> unit
 (** Map a zero-filled region.  [base] and [size] are rounded outward to page
     boundaries for permission purposes, but the region record keeps the
     exact values.  Overlapping an existing mapping raises
-    [Invalid_argument]. *)
+    [Invalid_argument].  Every new page starts on one shared, never
+    written zero buffer, marked copy-on-write like a snapshotted page, so
+    a mapping allocates no page buffer until its first store, and then
+    only for the page stored to. *)
 
 val unmap : t -> base:int -> unit
 (** Remove the region whose [base] matches exactly.  Raises
@@ -154,7 +173,7 @@ val poke_bytes : t -> int -> string -> unit
     page-copy per dirtied page and untouched pages cost nothing.
 
     Generation-counter interaction (the {!Icache} contract): {!restore}
-    never rewinds the generation counter.  Pages dirtied since the
+    never rewinds the lineage's generation counter.  Pages dirtied since the
     snapshot get a {e fresh} generation when their bytes are swapped
     back, forcing decode caches to re-validate; pages never written keep
     their generation, so cached decodes of text pages survive arbitrarily
@@ -176,9 +195,12 @@ val restore : t -> snapshot -> unit
 val fork : snapshot -> t
 (** A fresh, independent memory whose initial state is the snapshot.
     Shares page buffers copy-on-write with the snapshot (and with any
-    other fork of it); no trace sink is attached.  Generations in the
-    fork are fresh — decode caches must not be carried over from the
-    parent. *)
+    other fork of it); no trace sink is attached.  The fork joins the
+    snapshot's {!lineage} and each page keeps the generation it had in
+    the snapshot, so a decode cache may be shared between the parent and
+    all its forks (see {!page_gen}); later stores, in the fork or
+    elsewhere in the lineage, draw generations no other memory of the
+    lineage will carry. *)
 
 val snapshot_pages : snapshot -> int
 (** Number of pages the snapshot pins. *)

@@ -48,7 +48,9 @@ val clear_range : t -> int -> len:int -> unit
 (** Mark [len] bytes from [addr] clean. *)
 
 val clear : t -> unit
-(** Drop every label (all pages). *)
+(** Mark every byte clean.  Pages that ever carried a label are zeroed
+    in place and kept, so clearing and re-tainting the same pages (once
+    per parse) allocates nothing. *)
 
 val tainted : t -> int
 (** Number of bytes currently carrying a non-zero label. *)

@@ -42,7 +42,7 @@ type redzone = { base : int; len : int; mutable fired : bool }
 type t = {
   shadow : Shadow.t;
   regs : int array;  (* 16 taint slots cover both ISAs; x86 uses 0..7 *)
-  mutable sources : (int * source) list;  (* newest first *)
+  mutable sources : (int * source) list;  (* since [begin_parse], newest first *)
   mutable next_source : int;
   ret_slots : (int, bool ref) Hashtbl.t;  (* slot base -> reported? *)
   mutable redzones : redzone list;
@@ -77,7 +77,11 @@ let new_source t ~origin ~length =
 let origin_of t id =
   match List.assoc_opt id t.sources with Some s -> s.origin | None -> "?"
 
+(* Sources are dropped here too: reports copy their origin when they
+   fire, and ids keep counting up, so a daemon's oracle holds one
+   datagram's source instead of every datagram it ever parsed. *)
 let begin_parse t =
+  t.sources <- [];
   Shadow.clear t.shadow;
   Array.fill t.regs 0 16 0;
   Hashtbl.reset t.ret_slots;

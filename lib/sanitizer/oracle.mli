@@ -75,18 +75,21 @@ val set_trace : t -> Telemetry.Trace.t option -> unit
 
 val new_source : t -> origin:string -> length:int -> int
 (** Allocate a provenance id for an attacker-controlled byte string
-    (e.g. one UDP response).  Ids are dense from 0 and survive
-    {!begin_parse}, so reports from successive datagrams stay
+    (e.g. one UDP response).  Ids are dense from 0 and keep counting
+    across {!begin_parse}, so reports from successive datagrams stay
     distinguishable. *)
 
 val origin_of : t -> int -> string
-(** Origin string of a source id; ["?"] if unknown. *)
+(** Origin string of a source registered since the last {!begin_parse};
+    ["?"] otherwise.  Reports carry their source's origin themselves. *)
 
 val begin_parse : t -> unit
 (** Reset the per-run state — shadow map, register taint, return-slot
-    map, redzones — while keeping sources, reports, and counters.  The
-    daemon calls this once per delivered datagram; benchmark harnesses
-    call it before each sanitized run. *)
+    map, redzones, and the registered sources (their ids are not reused)
+    — while keeping reports and counters.  The daemon calls this once per
+    delivered datagram, so its oracle holds one datagram's state however
+    long it runs; benchmark harnesses call it before each sanitized
+    run. *)
 
 val taint : t -> src:int -> int -> len:int -> unit
 (** [taint t ~src addr ~len] marks [len] guest bytes starting at [addr]

@@ -362,6 +362,21 @@ let parse_once ~icache ~config ~raw_name =
     ~entry:(Loader.Process.symbol proc "parse_response")
     ~args:[ buf; String.length wire ]
 
+(* A benign one-answer response to a fresh query of [d]. *)
+let benign_wire d =
+  let query = Connman.Dnsproxy.make_query d lookup_name in
+  Dns.Packet.encode
+    (Dns.Packet.response ~query
+       [ Dns.Packet.a_record lookup_name ~ttl:60 ~ipv4:0x5DB8D822 ])
+
+(* A machine-level parse of [wire] on an existing process. *)
+let parse_on proc wire ~icache =
+  let buf = proc.Loader.Process.layout.Loader.Layout.heap_base in
+  Mem.write_bytes proc.Loader.Process.mem buf wire;
+  Loader.Process.call proc ~fuel:400_000 ~icache
+    ~entry:(Loader.Process.symbol proc "parse_response")
+    ~args:[ buf; String.length wire ]
+
 let exploit_cells =
   [
     ("E1 injection/x86", Loader.Arch.X86, Defense.Profile.none);
@@ -464,6 +479,149 @@ let test_cached_uncached_benign () =
         "halted (normal return)"
         (Format.asprintf "%a" O.pp cached.Loader.Process.outcome))
     [ (Loader.Arch.X86, "x86"); (Loader.Arch.Arm, "arm") ]
+
+(* The process keeps its decode table across calls, so a second parse
+   of the same response decodes nothing — and the counters [call]
+   returns are that call's alone, not the process's running total. *)
+let test_per_call_counters () =
+  List.iter
+    (fun (arch, tag) ->
+      let d =
+        Connman.Dnsproxy.create
+          { Connman.Dnsproxy.default_config with Connman.Dnsproxy.arch; boot_seed = 17 }
+      in
+      let proc = Connman.Dnsproxy.process d in
+      let wire = benign_wire d in
+      let first = parse_on proc wire ~icache:true in
+      let second = parse_on proc wire ~icache:true in
+      check_same_run ("warm/" ^ tag) first second;
+      Alcotest.(check bool) (tag ^ ": first parse decodes") true
+        (first.Loader.Process.icache_misses > 0);
+      Alcotest.(check int) (tag ^ ": second parse misses") 0
+        second.Loader.Process.icache_misses;
+      Alcotest.(check int) (tag ^ ": second parse hits = steps")
+        second.Loader.Process.steps second.Loader.Process.icache_hits)
+    [ (Loader.Arch.X86, "x86"); (Loader.Arch.Arm, "arm") ]
+
+(* Calls interleaved over one lineage — the template, a fork, a sibling
+   fork and a diversified (reimaged) fork, all sharing the template's
+   decode table — retire exactly what the same calls retire decoding
+   every step, on a second, identically built lineage. *)
+let lineage ~arch =
+  let t =
+    Connman.Dnsproxy.create
+      {
+        Connman.Dnsproxy.default_config with
+        Connman.Dnsproxy.arch;
+        profile = Defense.Profile.wx;
+        boot_seed = 29;
+      }
+  in
+  let procs =
+    Array.map Connman.Dnsproxy.process
+      [|
+        t;
+        Connman.Dnsproxy.fork t;
+        Connman.Dnsproxy.fork t;
+        Connman.Dnsproxy.fork_diversified t ~diversity_seed:3;
+      |]
+  in
+  (t, procs)
+
+let test_shared_table_interleaved () =
+  List.iter
+    (fun (arch, tag) ->
+      let t, cached = lineage ~arch in
+      let _, uncached = lineage ~arch in
+      Array.iteri
+        (fun i p ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: process %d shares the template's table" tag i)
+            true
+            (p.Loader.Process.decoded == cached.(0).Loader.Process.decoded))
+        cached;
+      let benign = benign_wire t in
+      let hostile =
+        let analysis =
+          Connman.Dnsproxy.process
+            (Connman.Dnsproxy.create
+               { (Connman.Dnsproxy.config t) with Connman.Dnsproxy.boot_seed = 1029 })
+        in
+        match Exploit.Autogen.generate ~analysis:(Exploit.Target.connman analysis) () with
+        | Error e -> Alcotest.failf "%s: generation failed: %s" tag e
+        | Ok (_, raw_name) ->
+            Exploit.Autogen.response_for
+              ~query:(Connman.Dnsproxy.make_query t lookup_name)
+              ~raw_name
+      in
+      let script =
+        [ (0, benign); (1, benign); (3, benign); (2, hostile); (0, benign);
+          (3, hostile); (1, benign); (2, benign); (3, benign); (0, hostile);
+          (1, hostile); (2, benign); (0, benign) ]
+      in
+      List.iteri
+        (fun n (i, wire) ->
+          let name = Printf.sprintf "%s: call %d on process %d" tag n i in
+          let a = parse_on cached.(i) wire ~icache:true in
+          check_same_run name a (parse_on uncached.(i) wire ~icache:false);
+          if n = 1 then
+            Alcotest.(check int) (name ^ ": a fork hits the template's decodes") 0
+              a.Loader.Process.icache_misses)
+        script)
+    [ (Loader.Arch.X86, "x86"); (Loader.Arch.Arm, "arm") ]
+
+(* Shellcode written to the executable stack of one fork runs there,
+   and only there: no fork (or the parent) executes another's decode of
+   the same address. *)
+let test_fork_shellcode_isolation () =
+  List.iter
+    (fun (arch, tag, shellcode) ->
+      let d =
+        Connman.Dnsproxy.create
+          {
+            Connman.Dnsproxy.default_config with
+            Connman.Dnsproxy.arch;
+            profile = Defense.Profile.none;
+            boot_seed = 13;
+          }
+      in
+      let parent = Connman.Dnsproxy.process d in
+      let at = parent.Loader.Process.layout.Loader.Layout.stack_base in
+      let plant p v = Mem.write_bytes p.Loader.Process.mem at (shellcode v) in
+      let run name p expect =
+        let r = Loader.Process.call p ~icache:true ~entry:at ~args:[] in
+        let u = Loader.Process.call p ~icache:false ~entry:at ~args:[] in
+        check_same_run (tag ^ ": " ^ name) r u;
+        Alcotest.(check int) (tag ^ ": " ^ name ^ " returns") expect r.Loader.Process.ret;
+        r
+      in
+      plant parent 0x11;
+      ignore (run "parent" parent 0x11);
+      let snap = Loader.Process.snapshot parent in
+      let f1 = Loader.Process.fork parent snap and f2 = Loader.Process.fork parent snap in
+      let r = run "sibling before the rewrite" f2 0x11 in
+      Alcotest.(check int) (tag ^ ": fork hits the parent's decode") 0
+        r.Loader.Process.icache_misses;
+      plant f1 0x22;
+      ignore (run "writer" f1 0x22);
+      ignore (run "sibling after the rewrite" f2 0x11);
+      ignore (run "parent after the rewrite" parent 0x11);
+      ignore (run "writer again" f1 0x22);
+      plant f2 0x33;
+      ignore (run "second writer" f2 0x33);
+      ignore (run "first writer unaffected" f1 0x22))
+    [
+      ( Loader.Arch.X86,
+        "x86",
+        fun v ->
+          Isa_x86.Encode.encode (Isa_x86.Insn.Mov_ri (Isa_x86.Insn.EAX, v))
+          ^ Isa_x86.Encode.encode Isa_x86.Insn.Ret );
+      ( Loader.Arch.Arm,
+        "arm",
+        fun v ->
+          Isa_arm.Encode.encode Isa_arm.Insn.(al (Mov (R0, Imm v)))
+          ^ Isa_arm.Encode.encode Isa_arm.Insn.(al (Bx LR)) );
+    ]
 
 (* Observer invariance: attaching a tracer, a profiler, the taint
    sanitizer or a single-step observer must not change what runs — not
@@ -600,6 +758,12 @@ let () =
           Alcotest.test_case "all exploit cells" `Quick test_cached_uncached_exploits;
           Alcotest.test_case "dos payloads" `Quick test_cached_uncached_dos;
           Alcotest.test_case "benign parses" `Quick test_cached_uncached_benign;
+          Alcotest.test_case "warm calls: per-call counters" `Quick
+            test_per_call_counters;
+          Alcotest.test_case "one table across forks and reimages" `Quick
+            test_shared_table_interleaved;
+          Alcotest.test_case "stack shellcode isolated per fork" `Quick
+            test_fork_shellcode_isolation;
         ] );
       ( "observer invariance",
         [

@@ -373,18 +373,17 @@ let test_icache_straddling_entry () =
   (* 6 bytes starting 2 before the page boundary: the entry depends on
      both pages' generations. *)
   let e = Memsim.Icache.lookup c 0x1FFE ~decode in
-  check_bool "entry records both pages" true
-    (not (e.Memsim.Icache.lo == e.Memsim.Icache.hi));
+  check_int "entry records the second page's generation" (Mem.page_gen m 0x2000)
+    e.Memsim.Icache.hi_gen;
   ignore (Memsim.Icache.lookup c 0x1FFE ~decode);
   check_int "hit while both pages clean" 1 !calls;
   (* Touching the second page alone must invalidate. *)
   Mem.write_u8 m 0x2800 1;
   ignore (Memsim.Icache.lookup c 0x1FFE ~decode);
   check_int "second-page store invalidates" 2 !calls;
-  (* And a non-straddling entry shares one cell for both ends. *)
+  (* And a non-straddling entry records no second page. *)
   let e2 = Memsim.Icache.lookup c 0x1100 ~decode in
-  check_bool "same-page entry aliases its cells" true
-    (e2.Memsim.Icache.lo == e2.Memsim.Icache.hi)
+  check_int "same-page entry has no second generation" (-1) e2.Memsim.Icache.hi_gen
 
 (* --- Copy-on-write snapshots --- *)
 
@@ -490,6 +489,157 @@ let test_snapshot_icache_coherent () =
   ignore (Memsim.Icache.lookup c 0x2008 ~decode);
   check_int "untouched page's entry survives restore" 4 !calls
 
+(* --- One decode table shared by a memory and its forks --- *)
+
+(* A decoder that returns the bytes it fetched, through the execute
+   check like the real ones: a lookup's value shows exactly which bytes
+   (and which memory's) it was decoded from. *)
+let fetch_decode len mem addr =
+  (String.init len (fun i -> Char.chr (Mem.fetch_u8 mem (addr + i))), len)
+
+(* Look up [addr] in [mem] through a fresh handle over [table]: the
+   decoded bytes, and whether the lookup had to decode. *)
+let shared_lookup ?(len = 4) table mem addr =
+  let h = Memsim.Icache.attach table mem in
+  let e = Memsim.Icache.lookup h addr ~decode:(fetch_decode len) in
+  (e.Memsim.Icache.v, Memsim.Icache.misses h = 1)
+
+let text_lineage () =
+  let m = fresh () in
+  Mem.map m ~base:0x1000 ~size:0x2000 ~perm:Mem.rwx ~name:"text";
+  Mem.poke_bytes m 0x1000 "AAAA";
+  (m, Memsim.Icache.table ~dummy:"" m)
+
+let check_lookup name ?len table mem addr ~bytes ~filled =
+  let v, miss = shared_lookup ?len table mem addr in
+  check_string (name ^ ": bytes") bytes v;
+  check_bool (name ^ ": filled") filled miss
+
+let test_icache_shared_by_forks () =
+  let m, table = text_lineage () in
+  check_lookup "parent fills" table m 0x1000 ~bytes:"AAAA" ~filled:true;
+  let snap = Mem.snapshot m in
+  let f1 = Mem.fork snap and f2 = Mem.fork snap in
+  check_lookup "fork hits the parent's decode" table f1 0x1000 ~bytes:"AAAA"
+    ~filled:false;
+  check_lookup "sibling hits it too" table f2 0x1000 ~bytes:"AAAA" ~filled:false;
+  (* Shellcode-style rewrite in one fork: it runs its own bytes, and the
+     others never see them. *)
+  Mem.write_bytes f1 0x1000 "BBBB";
+  check_lookup "writer re-decodes" table f1 0x1000 ~bytes:"BBBB" ~filled:true;
+  check_lookup "sibling keeps its bytes" table f2 0x1000 ~bytes:"AAAA"
+    ~filled:true;
+  check_lookup "parent keeps its bytes" table m 0x1000 ~bytes:"AAAA"
+    ~filled:false;
+  check_lookup "writer again" table f1 0x1000 ~bytes:"BBBB" ~filled:true;
+  (* A store in the parent after the fork is the parent's alone. *)
+  Mem.write_bytes m 0x1000 "CCCC";
+  check_lookup "parent's new bytes" table m 0x1000 ~bytes:"CCCC" ~filled:true;
+  check_lookup "sibling unaffected" table f2 0x1000 ~bytes:"AAAA" ~filled:true;
+  (* Another lineage's memory cannot use the table. *)
+  let other, _ = text_lineage () in
+  Alcotest.check_raises "foreign lineage rejected"
+    (Invalid_argument "Icache.attach: memory is not of the table's lineage")
+    (fun () -> ignore (Memsim.Icache.attach table other))
+
+let test_icache_fork_unmap_remap () =
+  let m, table = text_lineage () in
+  ignore (shared_lookup table m 0x1000);
+  let f = Mem.fork (Mem.snapshot m) in
+  (* A long-lived handle in the fork keeps its page's cell bound across
+     the remap; the remapped page must still re-decode. *)
+  let h = Memsim.Icache.attach table f in
+  let look () =
+    (Memsim.Icache.lookup h 0x1000 ~decode:(fetch_decode 4)).Memsim.Icache.v
+  in
+  check_string "fork hits" "AAAA" (look ());
+  Mem.unmap f ~base:0x1000;
+  expect_fault Mem.Unmapped look;
+  Mem.map f ~base:0x1000 ~size:0x2000 ~perm:Mem.rwx ~name:"text2";
+  check_string "remapped page decodes its zeros" "\000\000\000\000" (look ());
+  Mem.poke_bytes f 0x1000 "DDDD";
+  check_string "then its new bytes" "DDDD" (look ());
+  check_int "two fills in the fork" 2 (Memsim.Icache.misses h);
+  check_lookup "parent untouched by the fork's remap" table m 0x1000
+    ~bytes:"AAAA" ~filled:true
+
+let test_icache_fork_set_perm () =
+  let m, table = text_lineage () in
+  ignore (shared_lookup table m 0x1000);
+  let f = Mem.fork (Mem.snapshot m) in
+  Mem.set_perm f ~base:0x1000 Mem.rw;
+  expect_fault Mem.Perm_exec (fun () -> shared_lookup table f 0x1000);
+  check_lookup "parent still executes" table m 0x1000 ~bytes:"AAAA"
+    ~filled:false;
+  Mem.set_perm f ~base:0x1000 Mem.rx;
+  check_lookup "fork re-admits after mprotect" table f 0x1000 ~bytes:"AAAA"
+    ~filled:true
+
+let test_icache_fork_straddle () =
+  let m, table = text_lineage () in
+  Mem.poke_bytes m 0x1FFE "XYZWUV";
+  check_lookup ~len:6 "parent fills the straddling decode" table m 0x1FFE
+    ~bytes:"XYZWUV" ~filled:true;
+  let f = Mem.fork (Mem.snapshot m) in
+  check_lookup ~len:6 "fork hits it" table f 0x1FFE ~bytes:"XYZWUV" ~filled:false;
+  (* Only the second page changes in the fork. *)
+  Mem.write_u8 f 0x2001 (Char.code 'Q');
+  check_lookup ~len:6 "fork sees its second page" table f 0x1FFE
+    ~bytes:"XYZQUV" ~filled:true;
+  check_lookup ~len:6 "parent keeps its second page" table m 0x1FFE
+    ~bytes:"XYZWUV" ~filled:true
+
+(* --- The shared zero page --- *)
+
+let zeros n = String.make n '\000'
+
+let test_zero_page_isolation () =
+  let m = fresh () in
+  (* Mapping allocates no page buffers: 1 MB of fresh pages costs far
+     less than one buffer's worth per page. *)
+  let before = Gc.allocated_bytes () in
+  Mem.map m ~base:0x100000 ~size:0x100000 ~perm:Mem.rw ~name:"big";
+  check_bool "mapping allocates no page buffers" true
+    (Gc.allocated_bytes () -. before < float_of_int (0x100000 / 4));
+  Mem.write_u8 m 0x180000 1;
+  check_int "first store into it lands" 1 (Mem.read_u8 m 0x180000);
+  check_int "neighbour byte still zero" 0 (Mem.read_u8 m 0x17FFFF);
+  Mem.map m ~base:0x1000 ~size:0x4000 ~perm:Mem.rw ~name:"a";
+  Mem.map m ~base:0x9000 ~size:0x2000 ~perm:Mem.rw ~name:"b";
+  let all_zero_but except mem =
+    List.iter
+      (fun base ->
+        if base <> except then
+          check_string
+            (Printf.sprintf "page %x still zero" base)
+            (zeros Mem.page_size)
+            (Mem.read_bytes mem base Mem.page_size))
+      [ 0x1000; 0x2000; 0x3000; 0x4000; 0x9000; 0xA000 ]
+  in
+  Mem.write_u8 m 0x2345 0xEE;
+  check_int "the write landed" 0xEE (Mem.read_u8 m 0x2345);
+  all_zero_but 0x2000 m;
+  let snap = Mem.snapshot m in
+  let f = Mem.fork snap in
+  Mem.write_u32 f 0x9FFC 0xFFFF_FFFF;
+  Mem.write_bytes f 0x3FFE "spans";
+  check_int "parent's b page untouched by the fork" 0 (Mem.read_u32 m 0x9FFC);
+  all_zero_but 0x2000 m;
+  check_string "fork's straddling write" "spans" (Mem.read_bytes f 0x3FFE 5);
+  check_string "fork's untouched page" (zeros Mem.page_size)
+    (Mem.read_bytes f 0x1000 Mem.page_size);
+  Mem.write_u8 m 0x4000 0x11;
+  Mem.write_u8 m 0x2345 0;
+  Mem.restore m snap;
+  all_zero_but 0x2000 m;
+  check_int "restore brings the first write back" 0xEE (Mem.read_u8 m 0x2345);
+  (* A region mapped after the forks starts zero as well. *)
+  Mem.map f ~base:0x20000 ~size:0x1000 ~perm:Mem.rw ~name:"late";
+  check_string "late mapping is zero" (zeros Mem.page_size)
+    (Mem.read_bytes f 0x20000 Mem.page_size);
+  check_string "fork's a page kept zero" (zeros Mem.page_size)
+    (Mem.read_bytes f 0x1000 Mem.page_size)
+
 let prop_snapshot_roundtrip =
   QCheck.Test.make ~name:"restore rewinds arbitrary write sequences" ~count:100
     QCheck.(
@@ -588,6 +738,13 @@ let () =
             test_icache_perm_and_unmap_invalidate;
           Alcotest.test_case "page-straddling entries" `Quick
             test_icache_straddling_entry;
+          Alcotest.test_case "table shared by forks" `Quick
+            test_icache_shared_by_forks;
+          Alcotest.test_case "unmap/remap after fork" `Quick
+            test_icache_fork_unmap_remap;
+          Alcotest.test_case "mprotect after fork" `Quick test_icache_fork_set_perm;
+          Alcotest.test_case "straddling entry after fork" `Quick
+            test_icache_fork_straddle;
         ] );
       ( "snapshots",
         [
@@ -599,6 +756,7 @@ let () =
           Alcotest.test_case "fork independence" `Quick test_fork_independence;
           Alcotest.test_case "icache coherent across restore" `Quick
             test_snapshot_icache_coherent;
+          Alcotest.test_case "zero page stays zero" `Quick test_zero_page_isolation;
           qt prop_snapshot_roundtrip;
           Alcotest.test_case "shadow snapshot/restore" `Quick
             test_shadow_snapshot_restore;

@@ -68,6 +68,37 @@ let test_shadow_map () =
   Shadow.clear s;
   check_int "all cleared" 0 (Shadow.tainted s)
 
+(* The last-page cache must follow page creation, page switches and
+   [clear]; and a clear + re-taint of the same pages, once per parse in
+   a daemon, must reuse their arrays. *)
+let test_shadow_page_cache () =
+  let s = Shadow.create () in
+  let l = Shadow.make ~src:1 ~offset:2 in
+  check_int "untouched page reads clean" 0 (Shadow.get s 0x5000);
+  Shadow.set s 0x5001 l;
+  check_int "set on the cached untouched page" l (Shadow.get s 0x5001);
+  check_int "its neighbour stays clean" 0 (Shadow.get s 0x5000);
+  Shadow.set s 0x9000 l;
+  check_int "back to the first page" l (Shadow.get s 0x5001);
+  check_int "second page" l (Shadow.get s 0x9000);
+  Shadow.clear s;
+  check_int "cleared first page" 0 (Shadow.get s 0x5001);
+  check_int "cleared second page" 0 (Shadow.get s 0x9000);
+  check_int "nothing tainted" 0 (Shadow.tainted s);
+  Shadow.set s 0x5002 l;
+  check_int "re-taint after clear" l (Shadow.get s 0x5002);
+  check_int "one tainted byte" 1 (Shadow.tainted s);
+  let before = Gc.allocated_bytes () in
+  for _ = 1 to 10 do
+    Shadow.clear s;
+    for i = 0 to 63 do
+      Shadow.set s (0x5000 + i) l;
+      Shadow.set s (0x9000 + i) l
+    done
+  done;
+  check_bool "clear + re-taint reuses the pages" true
+    (Gc.allocated_bytes () -. before < float_of_int Memsim.Memory.page_size)
+
 (* --- oracle detection rules (synthetic stores) --- *)
 
 let tainted_label o = ignore o; Shadow.make ~src:0 ~offset:42
@@ -90,6 +121,33 @@ let test_redzone_rule () =
   check_int "deduped within the parse" 1 (Oracle.report_count o);
   Oracle.begin_parse o;
   check_int "reports survive begin_parse" 1 (Oracle.report_count o)
+
+(* One source per datagram must not accumulate in a long-lived daemon's
+   oracle: [begin_parse] forgets the previous datagram's source, while
+   ids keep counting and reports keep their origin. *)
+let test_sources_bounded () =
+  let o = Oracle.create () in
+  let parse i =
+    Oracle.begin_parse o;
+    let src =
+      Oracle.new_source o ~origin:(Printf.sprintf "udp:%04d" i) ~length:64
+    in
+    Oracle.taint o ~src 0x1000 ~len:64;
+    src
+  in
+  let src0 = parse 0 in
+  Oracle.check_pc o ~pc:0x20 ~step:1 ~target:0xdead ~slot:0x1000
+    ~label:(Shadow.make ~src:src0 ~offset:3) ~detail:"hijack";
+  for i = 1 to 10 do ignore (parse i) done;
+  let words = Obj.reachable_words (Obj.repr o) in
+  for i = 11 to 499 do ignore (parse i) done;
+  check_int "oracle does not grow with datagrams" words
+    (Obj.reachable_words (Obj.repr o));
+  check_int "ids keep counting" 500 (parse 500);
+  check_string "current source's origin" "udp:0500" (Oracle.origin_of o 500);
+  check_string "earlier sources forgotten" "?" (Oracle.origin_of o 0);
+  check_string "report kept its origin" "udp:0000"
+    (Option.get (Oracle.first_report o)).Oracle.origin
 
 let test_ret_slot_rule () =
   let o = Oracle.create () in
@@ -330,10 +388,14 @@ let () =
           Alcotest.test_case "join keeps first provenance" `Quick
             test_label_join;
           Alcotest.test_case "sparse map set/get/clear" `Quick test_shadow_map;
+          Alcotest.test_case "page cache + in-place clear" `Quick
+            test_shadow_page_cache;
         ] );
       ( "oracle",
         [
           Alcotest.test_case "redzone rule + dedup" `Quick test_redzone_rule;
+          Alcotest.test_case "sources bounded across parses" `Quick
+            test_sources_bounded;
           Alcotest.test_case "return-slot rule + lifecycle" `Quick
             test_ret_slot_rule;
           Alcotest.test_case "tainted pc / syscall rules" `Quick
