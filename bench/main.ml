@@ -1134,7 +1134,8 @@ let print_parse_costs () =
 (* The costs that set the fuzzer's throughput: taking a CoW snapshot,  *)
 (* restoring it (clean, and after a parse has dirtied pages), forking  *)
 (* a fresh machine from it, and a complete fuzz execution              *)
-(* (restore + datagram write + coverage-instrumented parse).          *)
+(* (restore + datagram write + coverage-instrumented parse, with the  *)
+(* edge map fed through [on_step] exactly as Fuzz.Engine feeds it).   *)
 (*                                                                     *)
 (*   dune exec bench/main.exe -- fuzz             (full measurement)   *)
 (*   dune exec bench/main.exe -- fuzz --smoke     (few iterations)     *)
@@ -1165,14 +1166,13 @@ let run_fuzz_json ~smoke ~out () =
     let buf = proc.Loader.Process.layout.Loader.Layout.heap_base in
     let input = List.hd (Fuzz.Engine.benign_seeds ()) in
     let cov = Fuzz.Coverage.create () in
-    let prof = Telemetry.Profile.create () in
-    Telemetry.Profile.set_sink prof (Some (Fuzz.Coverage.touch cov));
+    (* The engine's tap: the edge map as the hooked loop's [on_step]. *)
+    let touch = Fuzz.Coverage.touch cov in
     let parse () =
       Memsim.Memory.write_bytes proc.Loader.Process.mem buf input;
-      Telemetry.Profile.clear prof;
       Fuzz.Coverage.begin_exec cov;
       let r =
-        Loader.Process.call proc ~fuel:400_000 ~profile:prof ~entry
+        Loader.Process.call proc ~fuel:400_000 ~on_step:touch ~entry
           ~args:[ buf; String.length input ]
       in
       ignore (Fuzz.Coverage.commit cov);

@@ -1,71 +1,74 @@
 (* AFL-style edge coverage over the retired-instruction stream.
 
-   The map does not hook the interpreters itself: {!touch} is designed to
-   sit behind [Telemetry.Profile.set_sink], so the same per-pc stream the
-   profiler already taps feeds the edge map with no second
-   instrumentation point in the CPUs.
+   The map does not hook the interpreters itself: {!touch} takes any pc
+   stream.  The engine passes it as [Process.call]'s [~on_step], which
+   the hooked interpreter loop calls with every pc it fetches.
 
    An edge is the (previous pc, pc) pair, hashed into a fixed 64 Ki
-   bucket map.  Two layers of state keep the common operations O(1):
+   bucket map, one byte per bucket:
 
-   - [mark]/[stamp]: which buckets the {e current} execution has hit,
-     without clearing a 64 Ki array per exec (generation-stamping, the
-     same trick the memory pages use);
-   - [map]: which buckets {e any} execution has ever hit — the corpus'
-     accumulated coverage.  {!commit} promotes the current exec's buckets
-     into it and reports how many were globally new, which is the
-     fuzzer's "interesting input" signal. *)
+   - [never]: no execution has hit the bucket;
+   - [pending]: the current execution hit it first — recorded once in
+     [fresh], the byte itself deduplicating later hits;
+   - [seen]: a committed execution hit it.
+
+   {!touch} tests one byte per instruction.  Only a bucket no execution
+   has hit yet is recorded, which after the first few execs almost never
+   happens (the whole Connman parse path is ~130 edges), so an exec
+   allocates nothing.  {!commit} promotes the pending buckets and
+   reports how many there were, which is the fuzzer's "interesting
+   input" signal. *)
 
 let buckets = 1 lsl 16
+let never = '\000'
+let seen = '\001'
+let pending = '\002'
 
 type t = {
-  map : Bytes.t;  (* ever-hit, one byte per bucket *)
-  mark : int array;  (* stamp of the last exec that hit the bucket *)
-  mutable stamp : int;
+  map : Bytes.t;  (* [never] / [pending] / [seen], one byte per bucket *)
+  mutable fresh : int array;  (* buckets [pending] this exec, in [0, nfresh) *)
+  mutable nfresh : int;
   mutable prev : int;
-  mutable this_exec : int list;  (* buckets first hit this exec *)
-  mutable edges : int;  (* distinct buckets ever hit *)
+  mutable edges : int;  (* distinct buckets ever committed *)
 }
 
 let create () =
-  {
-    map = Bytes.make buckets '\000';
-    mark = Array.make buckets 0;
-    stamp = 0;
-    prev = 0;
-    this_exec = [];
-    edges = 0;
-  }
+  { map = Bytes.make buckets never; fresh = Array.make 64 0; nfresh = 0; prev = 0; edges = 0 }
 
+(* An exec abandoned without {!commit} leaves its buckets [pending]:
+   they go back to [never], as if it had not run. *)
 let begin_exec t =
-  t.stamp <- t.stamp + 1;
-  t.prev <- 0;
-  t.this_exec <- []
+  for i = 0 to t.nfresh - 1 do
+    Bytes.unsafe_set t.map t.fresh.(i) never
+  done;
+  t.nfresh <- 0;
+  t.prev <- 0
+
+let[@inline never] record t b =
+  Bytes.unsafe_set t.map b pending;
+  if t.nfresh = Array.length t.fresh then begin
+    let a = Array.make (2 * t.nfresh) 0 in
+    Array.blit t.fresh 0 a 0 t.nfresh;
+    t.fresh <- a
+  end;
+  t.fresh.(t.nfresh) <- b;
+  t.nfresh <- t.nfresh + 1
 
 (* Fibonacci-hash the edge into a bucket.  The multiply decorrelates the
    low bits of [prev] and [pc] (consecutive instructions differ only in
    their low bits), the mask keeps the result in range. *)
 let touch t pc =
   let b = ((t.prev * 0x9E3779B1) lxor pc) land (buckets - 1) in
-  if t.mark.(b) <> t.stamp then begin
-    t.mark.(b) <- t.stamp;
-    t.this_exec <- b :: t.this_exec
-  end;
+  if Bytes.unsafe_get t.map b = never then record t b;
   t.prev <- pc
 
 let commit t =
-  let fresh =
-    List.fold_left
-      (fun n b ->
-        if Bytes.get t.map b = '\000' then begin
-          Bytes.set t.map b '\001';
-          n + 1
-        end
-        else n)
-      0 t.this_exec
-  in
-  t.edges <- t.edges + fresh;
-  t.this_exec <- [];
-  fresh
+  let n = t.nfresh in
+  for i = 0 to n - 1 do
+    Bytes.unsafe_set t.map t.fresh.(i) seen
+  done;
+  t.nfresh <- 0;
+  t.edges <- t.edges + n;
+  n
 
 let edges t = t.edges

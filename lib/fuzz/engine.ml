@@ -9,10 +9,13 @@ module O = Machine.Outcome
    The harness is the classic AFL loop specialized to the simulated
    machine: boot the daemon image once, snapshot it copy-on-write, then
    per execution restore (microseconds — only pages the last parse
-   dirtied are swapped back), write the mutated datagram into the guest
-   rx buffer and call [parse_response] with edge coverage tapped off the
-   instruction profiler.  Inputs that light up new edges join the
-   corpus.
+   dirtied are rewritten, in place), write the mutated datagram into
+   the guest rx buffer and call [parse_response] with the edge map's
+   [touch] as the hooked loop's [on_step], so every fetched pc feeds
+   the map directly.  Inputs that light up new edges join the corpus.
+   An exec copies no pages and allocates nothing per instruction on the
+   host: the map records only never-seen edges, and restore rewrites in
+   place the page buffers an earlier exec unshared.
 
    Crashing inputs get a second, sanitizer-instrumented run from the
    same snapshot: the taint oracle labels every wire byte, protects the
@@ -121,8 +124,7 @@ let run config =
   let buf = proc.Process.layout.Loader.Layout.heap_base in
   let max_len = min 2048 proc.Process.layout.Loader.Layout.heap_size in
   let cov = Coverage.create () in
-  let profile = Telemetry.Profile.create () in
-  Telemetry.Profile.set_sink profile (Some (Coverage.touch cov));
+  let touch = Coverage.touch cov in
   let oracle = Oracle.create () in
   let geometry = Connman.Frame.geometry config.arch in
   let frame_buffer = Connman.Frame.buffer_addr proc in
@@ -135,10 +137,9 @@ let run config =
   let exec_cov input =
     Process.restore proc snap;
     Mem.write_bytes proc.Process.mem buf input;
-    Telemetry.Profile.clear profile;
     Coverage.begin_exec cov;
     let r =
-      Process.call proc ~fuel ~profile ~entry ~args:[ buf; String.length input ]
+      Process.call proc ~fuel ~on_step:touch ~entry ~args:[ buf; String.length input ]
     in
     total_steps := !total_steps + r.Process.steps;
     r

@@ -3,8 +3,9 @@
     Boots the daemon image once, takes a copy-on-write snapshot
     ({!Loader.Process.snapshot}), then per execution restores the
     snapshot, writes a mutated DNS datagram into the guest rx buffer and
-    calls [parse_response] with edge coverage ({!Coverage}) tapped off
-    the instruction profiler.  Inputs reaching new edges join the
+    calls [parse_response] with the edge map's {!Coverage.touch} as
+    [Process.call]'s [~on_step], so coverage comes straight off the
+    hooked interpreter loop.  Inputs reaching new edges join the
     corpus; crashing inputs are replayed under the taint oracle
     ({!Sanitizer.Oracle}) from the same snapshot for triage, so every
     crash report carries the detection rule and the

@@ -124,7 +124,8 @@ val call :
 
     Every call runs the ISA's hooked loop with one list of
     {!Machine.Hook}s: [on_step] sees every program-counter value before
-    the instruction executes (single-step debugging), [profile] counts
+    the instruction executes (single-step debugging, the fuzzer's edge
+    coverage), [profile] counts
     them, [trace] receives ["cpu"]-category events, [sanitizer] runs the
     ISA's taint planner against the given oracle, and — when the process
     profile carries the embedded mitigations

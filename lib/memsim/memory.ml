@@ -52,7 +52,8 @@ type region = { name : string; base : int; size : int; perm : perm }
    layer relies on: a [Bytes.t] reachable from a snapshot frame is never
    written again.  The same bit lets every freshly mapped page start on
    the one shared [zero_page], so a mapping allocates only the pages
-   that are later written. *)
+   that are later written.  A page that is not [frozen] owns its buffer,
+   which {!restore} may therefore rewrite in place. *)
 type page = {
   mutable pperm : perm;
   mutable data : Bytes.t;
@@ -76,6 +77,15 @@ let zero_page = Bytes.make page_size '\000'
    several. *)
 type lineage = { mutable last_gen : int }
 
+(* One page of a snapshot (see the snapshot section below). *)
+type frame = {
+  f_idx : int;
+  f_page : page;  (* identity of the record frozen at snapshot time *)
+  f_data : Bytes.t;
+  f_perm : perm;
+  f_gen : int;
+}
+
 type t = {
   pages : (int, page) Hashtbl.t;
   mutable regs : region list;
@@ -97,6 +107,11 @@ type t = {
      changes are cold paths, so the option check never touches the
      per-byte accessors' hit paths. *)
   mutable trace : Telemetry.Trace.t option;
+  (* The frames the last {!restore} installed, and the lineage counter
+     when it finished: every page whose generation is still at most
+     [restored_upto] carries those frames' bytes and permission. *)
+  mutable restored : frame array;
+  mutable restored_upto : int;
 }
 
 let null_page = { pperm = none; data = Bytes.empty; gen = ref 0; frozen = false }
@@ -122,6 +137,8 @@ let with_lineage lineage =
     gq_idx = -1;
     gq_pg = null_page;
     trace = None;
+    restored = [||];
+    restored_upto = 0;
   }
 
 let create () = with_lineage { last_gen = 0 }
@@ -531,18 +548,13 @@ let poke_bytes t addr s =
    Untouched pages (generation still equal to the frame's) keep their
    generation, so decode-cache entries for never-written text pages
    survive fork/restore cycles; that is the perf win that makes snapshot
-   fuzzing cheap.  A fork shares the lineage counter and starts every
+   fuzzing cheap.  A dirtied page that owns its buffer gets the frame's
+   bytes copied into it and keeps it, so the next store into it needs
+   no copy: a restore-per-exec loop pays the page copies once, not on
+   every exec.  A fork shares the lineage counter and starts every
    page on its frame's generation: the frame's (index, generation) pair
    already names the frame's bytes and permission, so the fork's pages
    validate the entries its parent and siblings filled. *)
-
-type frame = {
-  f_idx : int;
-  f_page : page;  (* identity of the record frozen at snapshot time *)
-  f_data : Bytes.t;
-  f_perm : perm;
-  f_gen : int;
-}
 
 type snapshot = {
   s_frames : frame array;
@@ -592,6 +604,7 @@ let restore t snap =
        (List.sort compare stale)
    end);
   let dirty = ref 0 in
+  let again = t.restored == snap.s_frames and upto = t.restored_upto in
   Array.iter
     (fun f ->
       match Hashtbl.find_opt t.pages f.f_idx with
@@ -600,17 +613,27 @@ let restore t snap =
              the generation is preserved so decode-cache entries filled
              from this page stay valid across the restore. *)
           ()
+      | Some p when again && !(p.gen) <= upto ->
+          (* Unchanged since this snapshot was last restored: it carries
+             the frame's bytes already.  Skip the gen bump. *)
+          ()
       | Some p when p.frozen && p.data == f.f_data && p.pperm = f.f_perm ->
-          (* Already carrying the snapshot's buffer (e.g. restored before
-             and not written since).  Bytes are identical by the frozen
-             invariant; skip the gen bump. *)
+          (* Already carrying the snapshot's buffer (restored from another
+             snapshot sharing it, say).  Bytes are identical by the
+             frozen invariant; skip the gen bump. *)
           ()
       | Some p ->
           incr dirty;
-          p.data <- f.f_data;
-          p.frozen <- true;
           p.pperm <- f.f_perm;
-          p.gen := fresh_gen t
+          p.gen := fresh_gen t;
+          if p.frozen || p.data == f.f_data then begin
+            (* Shared buffer: point at the frame's, still frozen. *)
+            p.data <- f.f_data;
+            p.frozen <- true
+          end
+          else
+            (* Private buffer: rewrite it and keep it private. *)
+            Bytes.blit f.f_data 0 p.data 0 page_size
       | None ->
           incr dirty;
           Hashtbl.replace t.pages f.f_idx
@@ -622,6 +645,8 @@ let restore t snap =
             })
     snap.s_frames;
   t.regs <- snap.s_regs;
+  t.restored <- snap.s_frames;
+  t.restored_upto <- t.lineage.last_gen;
   invalidate_page_caches t;
   match t.trace with
   | None -> ()

@@ -171,6 +171,9 @@ val poke_bytes : t -> int -> string -> unit
     snapshot.  The store paths transparently unshare (copy) a frozen
     page on the first subsequent write, so the mutator pays one
     page-copy per dirtied page and untouched pages cost nothing.
+    {!restore} copies the snapshot's bytes back into a page's private
+    buffer rather than sharing the snapshot's again, so in a
+    restore-per-exec loop only the first exec pays the page copies.
 
     Generation-counter interaction (the {!Icache} contract): {!restore}
     never rewinds the lineage's generation counter.  Pages dirtied since the
@@ -190,7 +193,15 @@ val restore : t -> snapshot -> unit
 (** Rewind memory to the snapshot: page contents, permissions, and the
     region table.  Cost is proportional to the pages dirtied, mapped, or
     unmapped since the snapshot was taken.  The snapshot remains valid
-    and may be restored again. *)
+    and may be restored again.
+
+    A dirtied page whose buffer is private (unshared by a store since
+    the page was last frozen) gets the snapshot's bytes copied into that
+    buffer and stays private, so the next store to it allocates
+    nothing; a page still on a shared buffer is pointed at the
+    snapshot's.  Either way the page takes a fresh generation, exactly
+    as before: the generation contract above is unchanged, and no
+    buffer a snapshot holds is ever written. *)
 
 val fork : snapshot -> t
 (** A fresh, independent memory whose initial state is the snapshot.

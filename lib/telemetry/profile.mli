@@ -14,17 +14,25 @@
     profiler was attached. *)
 
 type t
+(** Per-pc counts in an open-addressed int table: {!record} allocates
+    nothing and {!clear} keeps the table's capacity, so one profiler can
+    be reused across many runs. *)
 
 val create : unit -> t
-val record : t -> int -> unit  (** one retired instruction at this pc *)
+
+val record : t -> int -> unit
+(** One retired instruction at this pc.  Pcs are non-negative guest
+    addresses. *)
 
 val set_sink : t -> (int -> unit) option -> unit
 (** Attach (or detach with [None]) a tap on the raw pc stream: the sink
-    fires on every {!record}, before bucketing.  This is how downstream
-    consumers that need the instruction stream but not the histogram —
-    e.g. a fuzzer's edge-coverage map — feed off the profiler without a
-    second instrumentation hook in the interpreters.  [None] by default;
-    the cost when detached is one option check per retired
+    fires on every {!record}, after counting.  Its remaining user is the
+    end-to-end benchmark's mirrored fuzz loop ([e2e_bench/fuzz_wl.ml]),
+    which feeds the fuzzer's edge map through it.  A consumer that needs
+    only the stream should pass its function as [Process.call]'s
+    [~on_step] instead and skip the count, as [Fuzz.Engine] does: a
+    profiled step costs a table probe more than a sampled one.  [None]
+    by default; detached, the tap costs one option check per retired
     instruction. *)
 
 val total : t -> int  (** instructions recorded *)

@@ -270,6 +270,59 @@ let test_engine_deterministic () =
         (a.Engine.execs = 120 && a.Engine.edges > 0 && a.Engine.total_steps > 0))
     [ Loader.Arch.X86; Loader.Arch.Arm ]
 
+(* Pinned output: stats JSON digests of fixed runs, computed while
+   coverage still went through the profiler's pc tap and restore still
+   swapped shared page buffers back.  How the engine runs may change;
+   what it outputs may not. *)
+let golden_digests =
+  [
+    (Loader.Arch.X86, 1, "d566179993a45a1b8a41878815949f56");
+    (Loader.Arch.X86, 2, "33ec989a55201bf6a3e01986859626b1");
+    (Loader.Arch.Arm, 1, "18eb0215c426b8d6095f0e4619a70e0e");
+    (Loader.Arch.Arm, 2, "6688c671197b323cb76c4302c7e7a63d");
+  ]
+
+let test_engine_golden () =
+  List.iter
+    (fun (arch, seed, digest) ->
+      let cfg =
+        { Engine.default_config with Engine.arch; seed; max_execs = 1500; stop_on_find = false }
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s seed %d: stats JSON digest" (Loader.Arch.name arch) seed)
+        digest
+        (Digest.to_hex (Digest.string (Engine.stats_json (Engine.run cfg)))))
+    golden_digests
+
+(* --- edge map --- *)
+
+let test_coverage_commit () =
+  let cov = Fuzz.Coverage.create () in
+  let run pcs =
+    Fuzz.Coverage.begin_exec cov;
+    List.iter (Fuzz.Coverage.touch cov) pcs
+  in
+  run [ 0x100; 0x104; 0x108; 0x104; 0x108 ];
+  (* (0,100) (100,104) (104,108) (108,104); the repeated edge counts once *)
+  Alcotest.(check int) "first exec: all edges new" 4 (Fuzz.Coverage.commit cov);
+  Alcotest.(check int) "second commit: nothing left" 0 (Fuzz.Coverage.commit cov);
+  run [ 0x100; 0x104; 0x10c ];
+  Alcotest.(check int) "only the new edge" 1 (Fuzz.Coverage.commit cov);
+  (* An exec abandoned before commit leaves no trace. *)
+  run [ 0x100; 0x200 ];
+  run [ 0x100; 0x200 ];
+  Alcotest.(check int) "abandoned exec forgotten, rerun counts" 1
+    (Fuzz.Coverage.commit cov);
+  (* More first hits than the pending buffer starts with (some of the
+     1000 edges share a bucket). *)
+  let long = List.init 1000 (fun i -> 0x10000 + (4 * i)) in
+  run long;
+  let fresh = Fuzz.Coverage.commit cov in
+  Alcotest.(check bool) "growth path: hundreds of new edges" true (fresh > 500 && fresh <= 1000);
+  Alcotest.(check int) "edges is the sum of commits" (6 + fresh) (Fuzz.Coverage.edges cov);
+  run long;
+  Alcotest.(check int) "replayed stream: nothing new" 0 (Fuzz.Coverage.commit cov)
+
 (* --- regression corpus replay ---
 
    Every committed fuzzer-found input must still overflow the Listing-1
@@ -366,6 +419,8 @@ let () =
         [
           Alcotest.test_case "seed-deterministic stats" `Slow
             test_engine_deterministic;
+          Alcotest.test_case "stats digests pinned" `Slow test_engine_golden;
+          Alcotest.test_case "edge map commit" `Quick test_coverage_commit;
         ] );
       ( "regression corpus",
         [

@@ -640,6 +640,113 @@ let test_zero_page_isolation () =
   check_string "fork's a page kept zero" (zeros Mem.page_size)
     (Mem.read_bytes f 0x1000 Mem.page_size)
 
+(* --- In-place restore: a private page buffer is rewritten, not swapped --- *)
+
+(* Two snapshots of one memory, restored in both orders with stores in
+   between.  A fork made at snapshot time reads the frames' own buffers
+   (it shares them and never writes), so checking the forks after every
+   step proves no restore wrote into a buffer a snapshot holds. *)
+let test_restore_interleaved_snapshots () =
+  let m = fresh () in
+  Mem.map m ~base:0x1000 ~size:0x2000 ~perm:Mem.rw ~name:"d";
+  Mem.write_bytes m 0x1000 "AAAA";
+  Mem.write_bytes m 0x2000 "aaaa";
+  let s1 = Mem.snapshot m in
+  let f1 = Mem.fork s1 in
+  Mem.write_bytes m 0x1000 "BBBB";
+  let s2 = Mem.snapshot m in
+  let f2 = Mem.fork s2 in
+  let state mem = (Mem.read_bytes mem 0x1000 4, Mem.read_bytes mem 0x2000 4) in
+  let check_state name mem (lo, hi) =
+    let got_lo, got_hi = state mem in
+    check_string (name ^ ": first page") lo got_lo;
+    check_string (name ^ ": second page") hi got_hi
+  in
+  let frames_intact step =
+    check_state (step ^ ", S1's frames") f1 ("AAAA", "aaaa");
+    check_state (step ^ ", S2's frames") f2 ("BBBB", "aaaa")
+  in
+  let restore name snap want =
+    Mem.restore m snap;
+    check_state name m want;
+    frames_intact name
+  in
+  let s1_bytes = ("AAAA", "aaaa") and s2_bytes = ("BBBB", "aaaa") in
+  (* Right after S2 the page is frozen on S2's buffer: it is pointed at
+     S1's, never written. *)
+  restore "S1 right after S2" s1 s1_bytes;
+  restore "S2 right after S1" s2 s2_bytes;
+  Mem.write_bytes m 0x1000 "CCCC";
+  Mem.write_bytes m 0x2000 "cccc";
+  restore "S1 after two writes" s1 s1_bytes;
+  Mem.write_bytes m 0x1000 "DDDD";
+  Mem.write_bytes m 0x2000 "dddd";
+  restore "S2 after S1" s2 s2_bytes;
+  Mem.write_bytes m 0x1000 "EEEE";
+  restore "S1 after S2" s1 s1_bytes;
+  let g = Mem.page_gen m 0x1000 in
+  restore "S1 again, no store between" s1 s1_bytes;
+  check_int "a clean re-restore keeps the generation" g (Mem.page_gen m 0x1000);
+  restore "S2 with no store between" s2 s2_bytes;
+  check_bool "another snapshot's bytes take a fresh generation" true
+    (Mem.page_gen m 0x1000 <> g);
+  Mem.write_bytes m 0x2000 "ffff";
+  restore "S1 after a second-page store" s1 s1_bytes;
+  Mem.write_bytes m 0x1000 "GGGG";
+  restore "S2 last" s2 s2_bytes;
+  (* A store in a fork unshares the fork's page, not the frame. *)
+  Mem.write_bytes f1 0x1000 "HHHH";
+  check_state "a fresh fork of S1" (Mem.fork s1) s1_bytes;
+  Mem.restore m s1;
+  check_state "S1 after a fork's store" m s1_bytes;
+  check_string "the fork kept its store" "HHHH" (Mem.read_bytes f1 0x1000 4)
+
+let test_restore_reuses_private_buffer () =
+  let m = fresh () in
+  Mem.map m ~base:0x1000 ~size:0x1000 ~perm:Mem.rw ~name:"stack";
+  Mem.write_u32 m 0x1000 0xC0FFEE;
+  let snap = Mem.snapshot m in
+  (* Warm up: the first store after the snapshot unshares the page. *)
+  Mem.write_u8 m 0x1004 1;
+  Mem.restore m snap;
+  Mem.write_u8 m 0x1004 1;
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  for i = 1 to 100 do
+    Mem.restore m snap;
+    check_int "restored" 0 (Mem.read_u8 m 0x1004);
+    Mem.write_u8 m 0x1004 i
+  done;
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  (* One page copy is 512 words of bytes plus a header. *)
+  check_bool
+    (Printf.sprintf "100 restore + store cycles: %.0f major words, under one page copy" words)
+    true (words < 513.);
+  Mem.restore m snap;
+  check_int "snapshot bytes intact" 0xC0FFEE (Mem.read_u32 m 0x1000)
+
+let test_restore_in_place_icache () =
+  let m, table = text_lineage () in
+  let h = Memsim.Icache.attach table m in
+  let look () =
+    (Memsim.Icache.lookup h 0x1000 ~decode:(fetch_decode 4)).Memsim.Icache.v
+  in
+  check_string "snapshot bytes" "AAAA" (look ());
+  let snap = Mem.snapshot m in
+  Mem.write_bytes m 0x1000 "BBBB";
+  check_string "store after the snapshot" "BBBB" (look ());
+  Mem.restore m snap;
+  check_string "restore re-decodes" "AAAA" (look ());
+  (* The page is private now: this store and the next restore reuse its
+     buffer, and the entries filled in between must still go stale. *)
+  Mem.write_bytes m 0x1000 "CCCC";
+  check_string "store into the kept buffer" "CCCC" (look ());
+  Mem.restore m snap;
+  check_string "in-place restore re-decodes" "AAAA" (look ());
+  check_int "one fill per change" 5 (Memsim.Icache.misses h);
+  Mem.restore m snap;
+  check_string "clean re-restore" "AAAA" (look ());
+  check_int "and its entry stays hot" 5 (Memsim.Icache.misses h)
+
 let prop_snapshot_roundtrip =
   QCheck.Test.make ~name:"restore rewinds arbitrary write sequences" ~count:100
     QCheck.(
@@ -757,6 +864,12 @@ let () =
           Alcotest.test_case "icache coherent across restore" `Quick
             test_snapshot_icache_coherent;
           Alcotest.test_case "zero page stays zero" `Quick test_zero_page_isolation;
+          Alcotest.test_case "interleaved snapshots, in-place restore" `Quick
+            test_restore_interleaved_snapshots;
+          Alcotest.test_case "restore reuses a private buffer" `Quick
+            test_restore_reuses_private_buffer;
+          Alcotest.test_case "icache coherent across in-place restore" `Quick
+            test_restore_in_place_icache;
           qt prop_snapshot_roundtrip;
           Alcotest.test_case "shadow snapshot/restore" `Quick
             test_shadow_snapshot_restore;

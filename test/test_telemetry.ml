@@ -139,6 +139,83 @@ let test_profiler_buckets_by_symbol () =
   Prof.clear p;
   check_int "cleared" 0 (Prof.total p)
 
+(* Reference profile: per-pc counts in a [Hashtbl], bucketed and sorted
+   the way [report] documents it. *)
+let reference_report pcs ~symbolize =
+  let counts = Hashtbl.create 64 and by_sym = Hashtbl.create 64 in
+  List.iter
+    (fun pc ->
+      Hashtbl.replace counts pc (1 + Option.value ~default:0 (Hashtbl.find_opt counts pc)))
+    pcs;
+  Hashtbl.iter
+    (fun pc n ->
+      let s = symbolize pc in
+      let sym = match String.index_opt s '+' with Some i -> String.sub s 0 i | None -> s in
+      Hashtbl.replace by_sym sym (n + Option.value ~default:0 (Hashtbl.find_opt by_sym sym)))
+    counts;
+  let rows = Hashtbl.fold (fun sym n acc -> (sym, n) :: acc) by_sym [] in
+  ( Hashtbl.length counts,
+    List.sort (fun (sa, na) (sb, nb) -> if na <> nb then compare nb na else compare sa sb) rows )
+
+(* A few functions with offsets, plus bare addresses: ties between
+   symbols are common, so the tie order is exercised. *)
+let symbolize_for_test pc =
+  if pc land 0x100 = 0 then Printf.sprintf "fn_%d+0x%x" (pc mod 7) (pc land 0xFF)
+  else Printf.sprintf "0x%08x" pc
+
+let prop_profile_matches_reference =
+  let pc = QCheck.Gen.(oneof [ int_range 0 300; int_range 0 0xFFFF_FFFF ]) in
+  QCheck.Test.make ~name:"report equals a Hashtbl reference" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 3000) pc))
+    (fun pcs ->
+      let p = Prof.create () in
+      List.iter (Prof.record p) pcs;
+      let distinct, rows = reference_report pcs ~symbolize:symbolize_for_test in
+      Prof.total p = List.length pcs
+      && Prof.distinct_pcs p = distinct
+      && Prof.report p ~symbolize:symbolize_for_test = rows)
+
+let test_profiler_grows () =
+  let p = Prof.create () in
+  (* 5000 distinct pcs, well past the initial 1024 slots; pc [i] is
+     recorded [i mod 3 + 1] times in a row, so every growth moves counts
+     above one. *)
+  let n = 5000 in
+  for i = 0 to n - 1 do
+    for _ = 0 to i mod 3 do
+      Prof.record p (0x8000_0000 + (4 * i))
+    done
+  done;
+  check_int "distinct pcs" n (Prof.distinct_pcs p);
+  check_int "total" (List.fold_left ( + ) 0 (List.init n (fun i -> (i mod 3) + 1))) (Prof.total p);
+  let symbolize pc = Printf.sprintf "0x%x" pc in
+  List.iter
+    (fun (sym, count) ->
+      let i = (int_of_string sym - 0x8000_0000) / 4 in
+      if count <> (i mod 3) + 1 then Alcotest.failf "%s counted %d times" sym count)
+    (Prof.report p ~symbolize)
+
+let test_profiler_clear_reuse () =
+  let p = Prof.create () in
+  let symbolize = symbolize_for_test in
+  let sum p = List.fold_left (fun a (_, n) -> a + n) 0 (Prof.report p ~symbolize) in
+  let rng = Random.State.make [| 7 |] in
+  let stream n = List.init n (fun _ -> Random.State.int rng 4000) in
+  List.iter
+    (fun pcs ->
+      Prof.clear p;
+      check_int "cleared: nothing recorded" 0 (Prof.total p);
+      check_int "cleared: no pcs" 0 (Prof.distinct_pcs p);
+      check_int "cleared: empty report" 0 (List.length (Prof.report p ~symbolize));
+      List.iter (Prof.record p) pcs;
+      let distinct, rows = reference_report pcs ~symbolize in
+      check_int "total after reuse" (List.length pcs) (Prof.total p);
+      check_int "conservation after reuse" (Prof.total p) (sum p);
+      check_int "distinct pcs after reuse" distinct (Prof.distinct_pcs p);
+      Alcotest.(check (list (pair string int))) "report after reuse" rows
+        (Prof.report p ~symbolize))
+    [ stream 5000; stream 10; []; stream 20_000; stream 3 ]
+
 let test_profiler_conservation_daemon () =
   let d = Dnsproxy.create Dnsproxy.default_config in
   let p = Prof.create () in
@@ -261,6 +338,10 @@ let () =
             test_profiler_conservation_daemon;
           Alcotest.test_case "conserves a whole chaos cell" `Quick
             test_profiler_conservation_cell;
+          Alcotest.test_case "grows past 1024 distinct pcs" `Quick test_profiler_grows;
+          Alcotest.test_case "clear keeps working across reuse" `Quick
+            test_profiler_clear_reuse;
+          QCheck_alcotest.to_alcotest prop_profile_matches_reference;
         ] );
       ( "metrics",
         [
