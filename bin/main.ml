@@ -1,17 +1,5 @@
-(* connman-repro: command-line driver for the reproduction.
-
-   Subcommands:
-     experiments  — run the full experiment index and print the table
-     matrix       — the six-exploit §III matrix only
-     pineapple    — narrate the §III-D remote scenario
-     gadgets      — list gadgets in the Connman image (ropper/ROPgadget)
-     firmware     — print the firmware survey catalogue
-     layout       — print a booted process's address-space layout
-     trace        — replay a matrix cell with the cross-layer tracer on
-     profile      — instruction-level profile of a matrix cell's parses
-     sanitize     — the detection matrix: every cell under the taint
-                    sanitizer, with symbolized exploit reports
-     metrics      — cache stats + the Prometheus-style metrics registry *)
+(* connman-repro: command-line driver for the reproduction; run with
+   --help for the subcommands. *)
 
 open Cmdliner
 
@@ -80,8 +68,11 @@ let shards_conv =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let seed_arg =
-  Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic run seed.")
+
+let seed_term default =
+  Arg.(value & opt int default & info [ "seed" ] ~doc:"Deterministic run seed.")
+
+let seed_arg = seed_term 1
 
 let arch_arg =
   Arg.(
@@ -96,40 +87,92 @@ let profile_arg =
     & info [ "profile" ] ~doc:"Protection profile (none, wx, wx+aslr).")
 
 let markdown_arg =
-  Arg.(value & flag & info [ "markdown" ] ~doc:"Emit a markdown table.")
+  Arg.(
+    value & flag
+    & info [ "markdown" ]
+        ~doc:"Emit the markdown report: a header, the table, and the pass count.")
+
+(* Shared by every command that exports an artifact: [--out] writes it,
+   [--check] validates its JSON, and a command exits 1 when its own
+   verdict or a requested check fails. *)
+let out_arg what =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "out" ] ~doc:(Printf.sprintf "Write %s to a file." what))
+
+let check_arg doc = Arg.(value & flag & info [ "check" ] ~doc)
+let validate_doc = "Validate the exported JSON; exit 1 if malformed."
+
+let write_out ?(note = "") path contents =
+  Out_channel.with_open_text path (fun oc -> output_string oc contents);
+  Format.printf "wrote %s%s@." path note
+
+(* [replay] re-derives the JSON from a fresh run: determinism means the
+   bytes must be equal. *)
+let check_json ?replay label json =
+  match (Telemetry.Json.validate json, replay) with
+  | Error e, _ ->
+      Format.eprintf "%s json: INVALID (%s)@." label e;
+      false
+  | Ok (), None ->
+      Format.printf "%s json: well-formed@." label;
+      true
+  | Ok (), Some again ->
+      if again () = Ok json then begin
+        Format.printf "%s json: well-formed, byte-identical replay@." label;
+        true
+      end
+      else begin
+        Format.eprintf "%s json: replay NOT byte-identical@." label;
+        false
+      end
+
+let exit_code ok = if ok then 0 else 1
+let rows_ok = List.for_all (fun r -> r.Core.Experiments.ok)
+
+(* The header still names the former [report] command: the bytes are
+   the ones it wrote. *)
+let markdown_report ~seed rows =
+  Format.asprintf
+    "# Experiment report (seed %d)@.@.Generated by `connman-repro report`; \
+     every row is deterministic for the seed.@.@.%a@.%d/%d rows reproduce \
+     the paper.@."
+    seed Core.Experiments.pp_markdown rows
+    (List.length (List.filter (fun r -> r.Core.Experiments.ok) rows))
+    (List.length rows)
 
 let experiments_cmd =
-  let run seed markdown =
+  let run seed markdown out =
     let rows = Core.Experiments.all ~seed () in
-    if markdown then Format.printf "%a@." Core.Experiments.pp_markdown rows
-    else Format.printf "%a@." Core.Experiments.pp_table rows;
-    if List.for_all (fun r -> r.Core.Experiments.ok) rows then 0 else 1
+    let text =
+      if markdown then markdown_report ~seed rows
+      else Format.asprintf "%a@." Core.Experiments.pp_table rows
+    in
+    print_string text;
+    Option.iter (fun path -> write_out path text) out;
+    exit_code (rows_ok rows)
   in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Run the full experiment index (E0–E8, A1–A8).")
-    Term.(const run $ seed_arg $ markdown_arg)
+    Term.(const run $ seed_arg $ markdown_arg $ out_arg "the printed table or report")
 
 let matrix_cmd =
   let run seed =
-    Format.printf "%a@." Core.Experiments.pp_table
-      (Core.Experiments.e1_to_e6_matrix ~seed ());
-    0
+    let rows = Core.Experiments.e1_to_e6_matrix ~seed () in
+    Format.printf "%a@." Core.Experiments.pp_table rows;
+    exit_code (rows_ok rows)
   in
   Cmd.v
     (Cmd.info "matrix" ~doc:"Run the six-exploit matrix of §III.")
     Term.(const run $ seed_arg)
 
+let device_config ~seed ~arch profile =
+  { Connman.Dnsproxy.default_config with arch; profile; boot_seed = seed }
+
 let pineapple_cmd =
   let run seed arch profile =
-    let config =
-      {
-        Connman.Dnsproxy.version = Connman.Version.v1_34;
-        arch;
-        profile;
-        boot_seed = seed;
-        diversity_seed = None;
-      }
-    in
+    let config = device_config ~seed ~arch profile in
     match Core.Scenario.pineapple_attack ~seed ~config () with
     | Error e ->
         Format.eprintf "payload generation failed: %s@." e;
@@ -147,16 +190,7 @@ let pineapple_cmd =
 
 let gadgets_cmd =
   let run seed arch limit =
-    let d =
-      Connman.Dnsproxy.create
-        {
-          Connman.Dnsproxy.version = Connman.Version.v1_34;
-          arch;
-          profile = Defense.Profile.wx;
-          boot_seed = seed;
-          diversity_seed = None;
-        }
-    in
+    let d = Connman.Dnsproxy.create (device_config ~seed ~arch Defense.Profile.wx) in
     let proc = Connman.Dnsproxy.process d in
     (match arch with
     | Loader.Arch.X86 ->
@@ -196,16 +230,7 @@ let firmware_cmd =
 
 let layout_cmd =
   let run seed arch profile =
-    let d =
-      Connman.Dnsproxy.create
-        {
-          Connman.Dnsproxy.version = Connman.Version.v1_34;
-          arch;
-          profile;
-          boot_seed = seed;
-          diversity_seed = None;
-        }
-    in
+    let d = Connman.Dnsproxy.create (device_config ~seed ~arch profile) in
     Format.printf "%a@." Loader.Process.pp_summary (Connman.Dnsproxy.process d);
     0
   in
@@ -215,16 +240,7 @@ let layout_cmd =
 
 let disasm_cmd =
   let run seed arch fn =
-    let d =
-      Connman.Dnsproxy.create
-        {
-          Connman.Dnsproxy.version = Connman.Version.v1_34;
-          arch;
-          profile = Defense.Profile.wx;
-          boot_seed = seed;
-          diversity_seed = None;
-        }
-    in
+    let d = Connman.Dnsproxy.create (device_config ~seed ~arch Defense.Profile.wx) in
     let proc = Connman.Dnsproxy.process d in
     match Loader.Process.symbol_opt proc fn with
     | None ->
@@ -280,14 +296,13 @@ let trace_cmd =
           (Telemetry.Trace.emitted trace)
           (Telemetry.Trace.length trace)
           (Telemetry.Trace.dropped trace);
+        let json = Telemetry.Trace.to_chrome_json trace in
         (match out with
         | Some path ->
-            let json = Telemetry.Trace.to_chrome_json trace in
-            let oc = open_out path in
-            output_string oc json;
-            close_out oc;
-            Format.printf "wrote %s (%d bytes; load in ui.perfetto.dev)@." path
-              (String.length json)
+            write_out path json
+              ~note:
+                (Printf.sprintf " (%d bytes; load in ui.perfetto.dev)"
+                   (String.length json))
         | None ->
             let evs = Telemetry.Trace.events trace in
             let n = List.length evs in
@@ -298,32 +313,12 @@ let trace_cmd =
                 else if i = limit / 2 then
                   Format.printf "  ... (%d events elided)@." (n - limit))
               evs);
-        if check then
-          match Telemetry.Json.validate (Telemetry.Trace.to_chrome_json trace) with
-          | Ok () ->
-              Format.printf "trace json: well-formed@.";
-              0
-          | Error e ->
-              Format.eprintf "trace json: INVALID (%s)@." e;
-              1
-        else 0
+        exit_code ((not check) || check_json "trace" json)
   in
   let buffer_arg =
     Arg.(
       value & opt int 65536
       & info [ "buffer" ] ~doc:"Ring-buffer capacity in events.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ]
-          ~doc:"Write Chrome trace-event JSON (Perfetto-loadable) to a file.")
-  in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ] ~doc:"Validate the exported JSON; exit 1 if malformed.")
   in
   let limit_arg =
     Arg.(
@@ -336,8 +331,9 @@ let trace_cmd =
          "Replay one exploit-matrix cell with the cross-layer tracer attached \
           (cpu, memory, network, daemon, supervisor on one timeline).")
     Term.(
-      const run $ seed_arg $ cell_arg $ schedule_arg $ buffer_arg $ out_arg
-      $ check_arg $ limit_arg)
+      const run $ seed_arg $ cell_arg $ schedule_arg $ buffer_arg
+      $ out_arg "Chrome trace-event JSON (Perfetto-loadable)"
+      $ check_arg validate_doc $ limit_arg)
 
 let profile_cmd =
   let run seed cell schedule top folded =
@@ -353,13 +349,12 @@ let profile_cmd =
         Format.printf "@.%a@."
           (Telemetry.Profile.pp_flat ~top ~symbolize)
           profiler;
-        (match folded with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (Telemetry.Profile.folded profiler ~symbolize ());
-            close_out oc;
-            Format.printf "wrote %s (folded stacks for flamegraph.pl)@." path);
+        Option.iter
+          (fun path ->
+            write_out path
+              (Telemetry.Profile.folded profiler ~symbolize ())
+              ~note:" (folded stacks for flamegraph.pl)")
+          folded;
         0
   in
   let top_arg =
@@ -377,68 +372,6 @@ let profile_cmd =
          "Replay one exploit-matrix cell with the instruction-level profiler \
           attached and print a per-symbol flat profile.")
     Term.(const run $ seed_arg $ cell_arg $ schedule_arg $ top_arg $ folded_arg)
-
-let sanitize_cmd =
-  let run seed out check show_reports =
-    let rows = Core.Experiments.detection_matrix ~seed () in
-    Format.printf "%a@." Core.Experiments.pp_detection rows;
-    if show_reports then
-      List.iter
-        (fun (r : Core.Experiments.detection_row) ->
-          match r.Core.Experiments.det_rendered with
-          | [] -> ()
-          | lines ->
-              Format.printf "@.%s (%s, %s):@." r.Core.Experiments.det_cell
-                r.Core.Experiments.det_arch r.Core.Experiments.det_profile;
-              List.iter (fun l -> Format.printf "  %s@." l) lines)
-        rows;
-    let json = Core.Experiments.detection_json ~seed rows in
-    (match out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc json;
-        close_out oc;
-        Format.printf "wrote %s@." path);
-    let json_ok =
-      (not check)
-      ||
-      match Telemetry.Json.validate json with
-      | Ok () ->
-          Format.printf "detection json: well-formed@.";
-          true
-      | Error e ->
-          Format.eprintf "detection json: INVALID (%s)@." e;
-          false
-    in
-    if json_ok && List.for_all (fun r -> r.Core.Experiments.det_ok) rows then 0
-    else 1
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~doc:"Write the detection matrix as JSON to a file.")
-  in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ] ~doc:"Validate the exported JSON; exit 1 if malformed.")
-  in
-  let reports_arg =
-    Arg.(
-      value & flag
-      & info [ "reports" ]
-          ~doc:"Also print every sanitizer report (symbolized), per cell.")
-  in
-  Cmd.v
-    (Cmd.info "sanitize"
-       ~doc:
-         "Re-run the DoS, the six-exploit matrix, and benign controls under \
-          the byte-granular taint sanitizer; print where each attack was \
-          first detected (exit 1 if any cell is missed or a benign control \
-          reports).")
-    Term.(const run $ seed_arg $ out_arg $ check_arg $ reports_arg)
 
 let botnet_cmd =
   let run seed =
@@ -593,153 +526,170 @@ let metrics_cmd =
           text format.")
     term
 
+
+(* --- Campaigns: one record per command, one builder for them all --- *)
+
+(* An extra [--check] step, run once the JSON is well-formed. *)
+type 'r verify =
+  | Replay  (** re-run the campaign; the JSON must come back byte-identical *)
+  | Check of string * ('r -> bool)
+      (** [--check] doc, and a check of the report that prints its verdict *)
+
+type ('k, 'r) campaign = {
+  name : string;
+  doc : string;
+  seed : int;  (** default [--seed] *)
+  smoke : string option;  (** [--smoke] doc; [None]: no smoke size *)
+  knobs : 'k Term.t;  (** the campaign's own flags *)
+  run : seed:int -> smoke:bool -> 'k -> ('r, string) result;
+  pp : Format.formatter -> 'r -> unit;
+  label : string;  (** "<label> json: well-formed" *)
+  artifact : string;  (** what [--out] writes *)
+  json : 'r -> string;
+  ok : 'r -> bool;
+  verify : 'r verify option;
+}
+
+let campaign_cmd c =
+  let run seed smoke knobs out check =
+    let once () = c.run ~seed ~smoke knobs in
+    match once () with
+    | Error e ->
+        Format.eprintf "%s@." e;
+        1
+    | Ok r ->
+        Format.printf "%a@." c.pp r;
+        let json = c.json r in
+        Option.iter (fun path -> write_out path json) out;
+        let checked =
+          (not check)
+          ||
+          match c.verify with
+          | None -> check_json c.label json
+          | Some Replay ->
+              check_json c.label json ~replay:(fun () -> Result.map c.json (once ()))
+          | Some (Check (_, verify)) -> check_json c.label json && verify r
+        in
+        exit_code (c.ok r && checked)
+  in
+  let smoke =
+    match c.smoke with
+    | Some doc -> Arg.(value & flag & info [ "smoke" ] ~doc)
+    | None -> Term.const false
+  in
+  let check_doc =
+    match c.verify with
+    | None -> validate_doc
+    | Some Replay ->
+        "Validate the exported JSON and replay the run to prove \
+         byte-determinism; exit 1 on any mismatch."
+    | Some (Check (doc, _)) -> doc
+  in
+  Cmd.v (Cmd.info c.name ~doc:c.doc)
+    Term.(
+      const run $ seed_term c.seed $ smoke $ c.knobs $ out_arg c.artifact
+      $ check_arg check_doc)
+
+let shards_arg doc = Arg.(value & opt shards_conv 1 & info [ "shards" ] ~doc)
+
+let sanitize_cmd =
+  campaign_cmd
+    {
+      name = "sanitize";
+      doc =
+        "Re-run the DoS, the six-exploit matrix, and benign controls under \
+         the byte-granular taint sanitizer; print where each attack was \
+         first detected (exit 1 if any cell is missed or a benign control \
+         reports).";
+      seed = 1;
+      smoke = None;
+      knobs =
+        Arg.(
+          value & flag
+          & info [ "reports" ]
+              ~doc:"Also print every sanitizer report (symbolized), per cell.");
+      run =
+        (fun ~seed ~smoke:_ reports ->
+          Ok (seed, reports, Core.Experiments.detection_matrix ~seed ()));
+      pp =
+        (fun ppf (_, reports, rows) ->
+          Core.Experiments.pp_detection ppf rows;
+          if reports then
+            List.iter
+              (fun (r : Core.Experiments.detection_row) ->
+                if r.det_rendered <> [] then begin
+                  Format.fprintf ppf "@.@.%s (%s, %s):" r.det_cell r.det_arch
+                    r.det_profile;
+                  List.iter (Format.fprintf ppf "@.  %s") r.det_rendered
+                end)
+              rows);
+      label = "detection";
+      artifact = "the detection matrix as JSON";
+      json = (fun (seed, _, rows) -> Core.Experiments.detection_json ~seed rows);
+      ok = (fun (_, _, rows) -> List.for_all (fun r -> r.Core.Experiments.det_ok) rows);
+      verify = None;
+    }
+
 let chaos_cmd =
-  let run seed smoke shards output =
-    let report = Core.Experiments.chaos_campaign ~seed ~smoke ~shards () in
-    Format.printf "%a@." Core.Experiments.pp_chaos report;
-    (match output with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Core.Experiments.chaos_json report);
-        close_out oc;
-        Format.printf "wrote %s@." path);
-    0
-  in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ] ~doc:"Reduced grid (2 cells × 3 schedules) for CI.")
-  in
-  let output_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~doc:"Write the campaign report as JSON to a file.")
-  in
-  let shards_arg =
-    Arg.(
-      value & opt shards_conv 1
-      & info [ "shards" ]
-          ~doc:
-            "Scheduler shard count for every cell's world (results are \
-             bit-identical across counts).")
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Replay the exploit matrix and the DoS under deterministic network \
-          fault schedules, with connmand supervised.")
-    Term.(const run $ seed_arg $ smoke_arg $ shards_arg $ output_arg)
+  campaign_cmd
+    {
+      name = "chaos";
+      doc =
+        "Replay the exploit matrix and the DoS under deterministic network \
+         fault schedules, with connmand supervised.";
+      seed = 1;
+      smoke = Some "Reduced grid (2 cells × 3 schedules) for CI.";
+      knobs =
+        shards_arg
+          "Scheduler shard count for every cell's world (results are \
+           bit-identical across counts).";
+      run =
+        (fun ~seed ~smoke shards ->
+          Ok (Core.Experiments.chaos_campaign ~seed ~smoke ~shards ()));
+      pp = Core.Experiments.pp_chaos;
+      label = "chaos";
+      artifact = "the campaign report as JSON";
+      json = Core.Experiments.chaos_json;
+      ok = (fun _ -> true);
+      verify = None;
+    }
 
 let fuzz_cmd =
-  let run seed smoke shards execs out check =
-    let report = Core.Experiments.fuzz_campaign ~seed ~smoke ~shards ?execs () in
-    Format.printf "%a@." Core.Experiments.pp_fuzz report;
-    let json = Core.Experiments.fuzz_json report in
-    (match out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc json;
-        close_out oc;
-        Format.printf "wrote %s@." path);
-    let json_ok =
-      (not check)
-      ||
-      match Telemetry.Json.validate json with
-      | Ok () ->
-          Format.printf "fuzz json: well-formed@.";
-          true
-      | Error e ->
-          Format.eprintf "fuzz json: INVALID (%s)@." e;
-          false
-    in
-    if json_ok && report.Core.Experiments.fuzz_ok then 0 else 1
-  in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"Reduced budget (4000 executions per ISA) for CI.")
-  in
   let execs_arg =
     Arg.(
       value
       & opt (some int) None
       & info [ "execs" ] ~doc:"Explicit execution budget per ISA.")
   in
-  let shards_arg =
-    Arg.(
-      value & opt shards_conv 1
-      & info [ "shards" ]
-          ~doc:
-            "Independent engine instances per ISA, on derived seeds; the \
-             campaign passes if every ISA rediscovers in at least one shard.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~doc:"Write the campaign report as JSON to a file.")
-  in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ] ~doc:"Validate the exported JSON; exit 1 if malformed.")
-  in
-  Cmd.v
-    (Cmd.info "fuzz"
-       ~doc:
-         "Coverage-guided snapshot fuzzing of the Connman parse path on both \
-          ISAs: mutate benign DNS responses until the Listing-1 overflow is \
-          rediscovered, triaged by the taint oracle with wire-byte \
-          provenance (exit 1 if either ISA misses within budget).")
-    Term.(
-      const run $ seed_arg $ smoke_arg $ shards_arg $ execs_arg $ out_arg
-      $ check_arg)
+  campaign_cmd
+    {
+      name = "fuzz";
+      doc =
+        "Coverage-guided snapshot fuzzing of the Connman parse path on both \
+         ISAs: mutate benign DNS responses until the Listing-1 overflow is \
+         rediscovered, triaged by the taint oracle with wire-byte \
+         provenance (exit 1 if either ISA misses within budget).";
+      seed = 1;
+      smoke = Some "Reduced budget (4000 executions per ISA) for CI.";
+      knobs =
+        Term.(
+          const (fun shards execs -> (shards, execs))
+          $ shards_arg
+              "Independent engine instances per ISA, on derived seeds; the \
+               campaign passes if every ISA rediscovers in at least one shard."
+          $ execs_arg);
+      run =
+        (fun ~seed ~smoke (shards, execs) ->
+          Ok (Core.Experiments.fuzz_campaign ~seed ~smoke ~shards ?execs ()));
+      pp = Core.Experiments.pp_fuzz;
+      label = "fuzz";
+      artifact = "the campaign report as JSON";
+      json = Core.Experiments.fuzz_json;
+      ok = (fun r -> r.Core.Experiments.fuzz_ok);
+      verify = None;
+    }
 
 let diversity_cmd =
-  let run seed variants arch profile smoke out check =
-    let report () =
-      Core.Experiments.diversity_matrix ~seed ~smoke ?variants ?arch
-        ?base_profile:profile ()
-    in
-    match report () with
-    | exception Invalid_argument e ->
-        Format.eprintf "%s@." e;
-        1
-    | r ->
-        Format.printf "%a@." Core.Experiments.pp_diversity r;
-        let json = Core.Experiments.diversity_json r in
-        (match out with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            output_string oc json;
-            close_out oc;
-            Format.printf "wrote %s@." path);
-        let json_ok =
-          (not check)
-          ||
-          match Telemetry.Json.validate json with
-          | Error e ->
-              Format.eprintf "diversity json: INVALID (%s)@." e;
-              false
-          | Ok () ->
-              (* Replay the whole matrix: determinism means byte-equal. *)
-              if String.equal json (Core.Experiments.diversity_json (report ()))
-              then begin
-                Format.printf "diversity json: well-formed, byte-identical replay@.";
-                true
-              end
-              else begin
-                Format.eprintf "diversity json: replay NOT byte-identical@.";
-                false
-              end
-        in
-        if json_ok && r.Core.Experiments.div_ok then 0 else 1
-  in
   let variants_arg =
     Arg.(
       value
@@ -759,258 +709,124 @@ let diversity_cmd =
       & opt (some profile_conv) None
       & info [ "profile" ] ~doc:"Restrict to matrix cells of one base profile.")
   in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ] ~doc:"CI-sized run: 48 variants per combination.")
+  campaign_cmd
+    {
+      name = "diversity";
+      doc =
+        "Run the software-diversity survival matrix: fork a population of \
+         seeded layout variants per exploit-matrix cell (and the DoS), \
+         replay the stock-image payload against base, diversified, \
+         shadow-stack/forward-CFI, and combined defenses, and report \
+         per-combination survival probabilities with Wilson intervals plus \
+         gadget-survival statistics (exit 1 when a supposedly-mitigated \
+         combination still lets the payload through, or when diversity \
+         raises survival above the undiversified base).";
+      seed = 1;
+      smoke = Some "CI-sized run: 48 variants per combination.";
+      knobs =
+        Term.(
+          const (fun variants arch profile -> (variants, arch, profile))
+          $ variants_arg $ arch_arg $ profile_arg);
+      run =
+        (fun ~seed ~smoke (variants, arch, base_profile) ->
+          match
+            Core.Experiments.diversity_matrix ~seed ~smoke ?variants ?arch
+              ?base_profile ()
+          with
+          | r -> Ok r
+          | exception Invalid_argument e -> Error e);
+      pp = Core.Experiments.pp_diversity;
+      label = "diversity";
+      artifact = "the survival matrix as JSON";
+      json = Core.Experiments.diversity_json;
+      ok = (fun r -> r.Core.Experiments.div_ok);
+      verify = Some Replay;
+    }
+
+(* Shared by fleet and monitor: size overrides on top of the default or
+   smoke config. *)
+let fleet_config =
+  let size name doc = Arg.(value & opt (some int) None & info [ name ] ~doc) in
+  let config devices lans shards ~seed ~smoke =
+    let base =
+      if smoke then Fleet.Campaign.smoke_config else Fleet.Campaign.default_config
+    in
+    let value v default = Option.value v ~default in
+    {
+      base with
+      Fleet.Campaign.seed;
+      devices = value devices base.Fleet.Campaign.devices;
+      lans = value lans base.Fleet.Campaign.lans;
+      shards = value shards base.Fleet.Campaign.shards;
+    }
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~doc:"Write the survival matrix as JSON to a file.")
-  in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Validate the exported JSON and replay the matrix to prove \
-             byte-determinism; exit 1 on any mismatch.")
-  in
-  Cmd.v
-    (Cmd.info "diversity"
-       ~doc:
-         "Run the software-diversity survival matrix: fork a population of \
-          seeded layout variants per exploit-matrix cell (and the DoS), \
-          replay the stock-image payload against base, diversified, \
-          shadow-stack/forward-CFI, and combined defenses, and report \
-          per-combination survival probabilities with Wilson intervals plus \
-          gadget-survival statistics (exit 1 when a supposedly-mitigated \
-          combination still lets the payload through, or when diversity \
-          raises survival above the undiversified base).")
-    Term.(
-      const run $ seed_arg $ variants_arg $ arch_arg $ profile_arg $ smoke_arg
-      $ out_arg $ check_arg)
+  Term.(
+    const config
+    $ size "devices" "Fleet size (default: 1000; 48 with --smoke)."
+    $ size "lans" "LAN count (default: 20; 4 with --smoke)."
+    $ Arg.(
+        value
+        & opt (some shards_conv) None
+        & info [ "shards" ]
+            ~doc:"Scheduler shard count (default: 4; 2 with --smoke)."))
 
 let fleet_cmd =
-  let run seed devices lans shards smoke out check =
-    let base =
-      if smoke then Fleet.Campaign.smoke_config
-      else Fleet.Campaign.default_config
-    in
-    let value v default = match v with Some v -> v | None -> default in
-    let cfg =
-      {
-        base with
-        Fleet.Campaign.seed = value seed base.Fleet.Campaign.seed;
-        devices = value devices base.Fleet.Campaign.devices;
-        lans = value lans base.Fleet.Campaign.lans;
-        shards = value shards base.Fleet.Campaign.shards;
-      }
-    in
-    let report = Fleet.Campaign.run cfg in
-    Format.printf "%a@." Fleet.Campaign.pp report;
-    let json = Fleet.Campaign.json report in
-    (match out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc json;
-        close_out oc;
-        Format.printf "wrote %s@." path);
-    let json_ok =
-      (not check)
-      ||
-      match Telemetry.Json.validate json with
-      | Ok () ->
-          Format.printf "fleet json: well-formed@.";
-          true
-      | Error e ->
-          Format.eprintf "fleet json: INVALID (%s)@." e;
-          false
-    in
-    if json_ok && Fleet.Campaign.ok report then 0 else 1
+  campaign_cmd
+    {
+      name = "fleet";
+      doc =
+        "Fleet-scale resilience campaign: fork a device population from \
+         copy-on-write snapshots over a sharded network world, mix benign \
+         load with exploit and DoS forgery under chaos, supervise every \
+         device (quarantine, probation, reintroduction), and roll out the \
+         patch canary-first with automatic rollback (exit 1 unless the \
+         fleet converges with zero residual compromises).";
+      seed = Fleet.Campaign.default_config.Fleet.Campaign.seed;
+      smoke =
+        Some
+          "CI-sized campaign: 48 devices, 4 LANs, 2 shards, canary + one \
+           rollout wave.";
+      knobs = fleet_config;
+      run = (fun ~seed ~smoke config -> Ok (Fleet.Campaign.run (config ~seed ~smoke)));
+      pp = Fleet.Campaign.pp;
+      label = "fleet";
+      artifact = "the campaign report as JSON";
+      json = Fleet.Campaign.json;
+      ok = Fleet.Campaign.ok;
+      verify = None;
+    }
+
+(* Monitor's extra check: some alert incident both fired and resolved,
+   and its timeline runs from wire-byte provenance to containment. *)
+let causal_incident mon =
+  let module M = Telemetry.Monitor in
+  let incidents = M.incidents mon in
+  let resolved = List.exists (fun i -> i.M.i_resolved_us >= 0) incidents in
+  if not resolved then
+    Format.eprintf "monitor check: no incident both fired and resolved@.";
+  let causal =
+    List.exists
+      (fun i ->
+        match i.M.i_timeline with
+        | [] -> false
+        | first :: _ -> (
+            first.M.e_kind = "wire_provenance"
+            &&
+            match List.rev i.M.i_timeline with
+            | last :: _ -> last.M.e_kind = "quarantine" || last.M.e_kind = "rollback"
+            | [] -> false))
+      incidents
   in
-  let seed_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "seed" ] ~doc:"Deterministic run seed (default: the config's).")
-  in
-  let devices_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "devices" ] ~doc:"Fleet size (default: 1000; 48 with --smoke).")
-  in
-  let lans_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "lans" ] ~doc:"LAN count (default: 20; 4 with --smoke).")
-  in
-  let shards_arg =
-    Arg.(
-      value
-      & opt (some shards_conv) None
-      & info [ "shards" ]
-          ~doc:"Scheduler shard count (default: 4; 2 with --smoke).")
-  in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "CI-sized campaign: 48 devices, 4 LANs, 2 shards, canary + one \
-             rollout wave.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~doc:"Write the campaign report as JSON to a file.")
-  in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ] ~doc:"Validate the exported JSON; exit 1 if malformed.")
-  in
-  Cmd.v
-    (Cmd.info "fleet"
-       ~doc:
-         "Fleet-scale resilience campaign: fork a device population from \
-          copy-on-write snapshots over a sharded network world, mix benign \
-          load with exploit and DoS forgery under chaos, supervise every \
-          device (quarantine, probation, reintroduction), and roll out the \
-          patch canary-first with automatic rollback (exit 1 unless the \
-          fleet converges with zero residual compromises).")
-    Term.(
-      const run $ seed_arg $ devices_arg $ lans_arg $ shards_arg $ smoke_arg
-      $ out_arg $ check_arg)
+  if not causal then
+    Format.eprintf
+      "monitor check: no incident timeline runs wire provenance -> \
+       containment@.";
+  if resolved && causal then
+    Format.printf "monitor check: %d incident(s), causal timeline present@."
+      (List.length incidents);
+  resolved && causal
 
 let monitor_cmd =
-  let run seed devices lans shards smoke interval rules_file out check =
-    let base =
-      if smoke then Fleet.Campaign.smoke_config
-      else Fleet.Campaign.default_config
-    in
-    let value v default = match v with Some v -> v | None -> default in
-    let cfg =
-      {
-        base with
-        Fleet.Campaign.seed = value seed base.Fleet.Campaign.seed;
-        devices = value devices base.Fleet.Campaign.devices;
-        lans = value lans base.Fleet.Campaign.lans;
-        shards = value shards base.Fleet.Campaign.shards;
-      }
-    in
-    let reg = Telemetry.Metrics.create () in
-    let mon =
-      match interval with
-      | None -> Telemetry.Monitor.create reg
-      | Some us -> Telemetry.Monitor.create ~interval_us:us reg
-    in
-    let rules_text =
-      match rules_file with
-      | None -> Fleet.Campaign.default_rules
-      | Some path -> In_channel.with_open_bin path In_channel.input_all
-    in
-    match Telemetry.Monitor.add_rules mon rules_text with
-    | Error e ->
-        Format.eprintf "monitor rules: %s@." e;
-        1
-    | Ok nrules ->
-        let report = Fleet.Campaign.run ~monitor:mon cfg in
-        print_string (Telemetry.Monitor.dashboard mon);
-        Format.printf "rules loaded: %d;  campaign: %s@." nrules
-          (if Fleet.Campaign.ok report then "ok" else "NOT ok");
-        let json = Telemetry.Monitor.json mon in
-        (match out with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            output_string oc json;
-            close_out oc;
-            Format.printf "wrote %s@." path);
-        if not check then 0
-        else begin
-          let module M = Telemetry.Monitor in
-          let json_ok =
-            match Telemetry.Json.validate json with
-            | Ok () ->
-                Format.printf "monitor json: well-formed@.";
-                true
-            | Error e ->
-                Format.eprintf "monitor json: INVALID (%s)@." e;
-                false
-          in
-          let incidents = M.incidents mon in
-          let resolved =
-            List.exists (fun i -> i.M.i_resolved_us >= 0) incidents
-          in
-          if not resolved then
-            Format.eprintf
-              "monitor check: no incident both fired and resolved@.";
-          let causal =
-            List.exists
-              (fun i ->
-                match i.M.i_timeline with
-                | [] -> false
-                | first :: _ -> (
-                    first.M.e_kind = "wire_provenance"
-                    &&
-                    match List.rev i.M.i_timeline with
-                    | last :: _ ->
-                        last.M.e_kind = "quarantine"
-                        || last.M.e_kind = "rollback"
-                    | [] -> false))
-              incidents
-          in
-          if not causal then
-            Format.eprintf
-              "monitor check: no incident timeline runs wire provenance -> \
-               containment@.";
-          if json_ok && resolved && causal then begin
-            Format.printf
-              "monitor check: %d incident(s), causal timeline present@."
-              (List.length incidents);
-            0
-          end
-          else 1
-        end
-  in
-  let seed_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "seed" ] ~doc:"Deterministic run seed (default: the config's).")
-  in
-  let devices_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "devices" ] ~doc:"Fleet size (default: 1000; 48 with --smoke).")
-  in
-  let lans_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "lans" ] ~doc:"LAN count (default: 20; 4 with --smoke).")
-  in
-  let shards_arg =
-    Arg.(
-      value
-      & opt (some shards_conv) None
-      & info [ "shards" ]
-          ~doc:"Scheduler shard count (default: 4; 2 with --smoke).")
-  in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"CI-sized campaign: 48 devices, 4 LANs, 2 shards.")
-  in
   let interval_arg =
     Arg.(
       value
@@ -1027,99 +843,81 @@ let monitor_cmd =
             "Load recording/alert rules from a file (default: the built-in \
              fleet rule set).")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~doc:"Write the monitor-v1 flight record to a file.")
-  in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Validate the exported JSON and require at least one resolved \
-             alert incident whose timeline starts at wire-byte provenance \
-             and ends in quarantine or rollback; exit 1 otherwise.")
-  in
-  Cmd.v
-    (Cmd.info "monitor"
-       ~doc:
-         "Run the fleet campaign under the deterministic flight recorder: \
-          scrape every metric series on the simulated clock, evaluate \
-          recording and alert rules (threshold, for-duration, hysteresis), \
-          correlate firing alerts with the causal event journal into \
-          per-incident timelines, and print a text dashboard.  Same seed, \
-          same bytes — for any shard count.")
-    Term.(
-      const run $ seed_arg $ devices_arg $ lans_arg $ shards_arg $ smoke_arg
-      $ interval_arg $ rules_arg $ out_arg $ check_arg)
+  campaign_cmd
+    {
+      name = "monitor";
+      doc =
+        "Run the fleet campaign under the deterministic flight recorder: \
+         scrape every metric series on the simulated clock, evaluate \
+         recording and alert rules (threshold, for-duration, hysteresis), \
+         correlate firing alerts with the causal event journal into \
+         per-incident timelines, and print a text dashboard.  Same seed, \
+         same bytes — for any shard count.";
+      seed = Fleet.Campaign.default_config.Fleet.Campaign.seed;
+      smoke = Some "CI-sized campaign: 48 devices, 4 LANs, 2 shards.";
+      knobs =
+        Term.(
+          const (fun config interval rules -> (config, interval, rules))
+          $ fleet_config $ interval_arg $ rules_arg);
+      run =
+        (fun ~seed ~smoke (config, interval, rules_file) ->
+          let mon =
+            Telemetry.Monitor.create ?interval_us:interval
+              (Telemetry.Metrics.create ())
+          in
+          let rules =
+            match rules_file with
+            | None -> Fleet.Campaign.default_rules
+            | Some path -> In_channel.with_open_bin path In_channel.input_all
+          in
+          match Telemetry.Monitor.add_rules mon rules with
+          | Error e -> Error ("monitor rules: " ^ e)
+          | Ok nrules ->
+              let report = Fleet.Campaign.run ~monitor:mon (config ~seed ~smoke) in
+              Ok (report, mon, nrules));
+      pp =
+        (fun ppf (report, mon, nrules) ->
+          Format.fprintf ppf "%srules loaded: %d;  campaign: %s"
+            (Telemetry.Monitor.dashboard mon)
+            nrules
+            (if Fleet.Campaign.ok report then "ok" else "NOT ok"));
+      label = "monitor";
+      artifact = "the monitor-v1 flight record";
+      json = (fun (_, mon, _) -> Telemetry.Monitor.json mon);
+      ok = (fun (report, _, _) -> Fleet.Campaign.ok report);
+      verify =
+        Some
+          (Check
+             ( "Validate the exported JSON and require at least one resolved \
+                alert incident whose timeline starts at wire-byte provenance \
+                and ends in quarantine or rollback; exit 1 otherwise.",
+               fun (_, mon, _) -> causal_incident mon ));
+    }
 
 let codec_diff_cmd =
-  let run seed execs out =
-    let report = Fuzz.Differential.run ~seed ~execs () in
-    Format.printf "%a@." Fuzz.Differential.pp_report report;
-    (match out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Fuzz.Differential.report_json report);
-        close_out oc;
-        Format.printf "wrote %s@." path);
-    if report.Fuzz.Differential.divergent = 0 then 0 else 1
-  in
-  let execs_arg =
-    Arg.(
-      value & opt int 50_000
-      & info [ "execs" ] ~doc:"Mutation-execution budget.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~doc:"Write the codec-diff report as JSON to a file.")
-  in
-  Cmd.v
-    (Cmd.info "codec-diff"
-       ~doc:
-         "Differentially fuzz the zero-copy DNS codec against the legacy \
-          reference: both must agree on decode results, error strings, and \
-          re-encoded bytes over benign seeds, the committed crash corpus, \
-          crafted hostiles, and a seeded mutation stream (exit 1 on any \
-          divergence).")
-    Term.(const run $ seed_arg $ execs_arg $ out_arg)
-
-let report_cmd =
-  let run seed output =
-    let rows = Core.Experiments.all ~seed () in
-    let buf = Buffer.create 4096 in
-    let ppf = Format.formatter_of_buffer buf in
-    Format.fprintf ppf
-      "# Experiment report (seed %d)@.@.Generated by `connman-repro report`; \
-       every row is deterministic for the seed.@.@." seed;
-    Core.Experiments.pp_markdown ppf rows;
-    let passed = List.length (List.filter (fun r -> r.Core.Experiments.ok) rows) in
-    Format.fprintf ppf "@.%d/%d rows reproduce the paper.@." passed
-      (List.length rows);
-    Format.pp_print_flush ppf ();
-    (match output with
-    | None -> print_string (Buffer.contents buf)
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Buffer.contents buf);
-        close_out oc;
-        Format.printf "wrote %s@." path);
-    if passed = List.length rows then 0 else 1
-  in
-  let output_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~doc:"Write the markdown report to a file.")
-  in
-  Cmd.v
-    (Cmd.info "report" ~doc:"Emit a markdown reproduction report.")
-    Term.(const run $ seed_arg $ output_arg)
+  campaign_cmd
+    {
+      name = "codec-diff";
+      doc =
+        "Differentially fuzz the zero-copy DNS codec against the legacy \
+         reference: both must agree on decode results, error strings, and \
+         re-encoded bytes over benign seeds, the committed crash corpus, \
+         crafted hostiles, and a seeded mutation stream (exit 1 on any \
+         divergence).";
+      seed = 1;
+      smoke = None;
+      knobs =
+        Arg.(
+          value & opt int 50_000
+          & info [ "execs" ] ~doc:"Mutation-execution budget.");
+      run = (fun ~seed ~smoke:_ execs -> Ok (Fuzz.Differential.run ~seed ~execs ()));
+      pp = Fuzz.Differential.pp_report;
+      label = "codec-diff";
+      artifact = "the codec-diff report as JSON";
+      json = Fuzz.Differential.report_json;
+      ok = (fun r -> r.Fuzz.Differential.divergent = 0);
+      verify = None;
+    }
 
 let default =
   Term.(ret (const (`Help (`Pager, None))))
@@ -1153,5 +951,4 @@ let () =
             fleet_cmd;
             monitor_cmd;
             codec_diff_cmd;
-            report_cmd;
           ]))

@@ -51,28 +51,29 @@ let row ~id ~section ~description ~expected observed =
 let dos_wire q =
   Dns.Craft.hostile_response ~query:q ~raw_name:(Dns.Craft.dos_name ~size:8192) ()
 
-let e0_dos ?(seed = 1) () =
+(* The oversized Type-A response of E0/E8, fired at one device. *)
+let dos_word d =
+  disposition_word
+    (Dnsproxy.handle_response d (dos_wire (Dnsproxy.make_query d lookup)))
+
+let e0_dos ~seed =
   List.concat_map
     (fun arch ->
-      let vulnerable = mk_device ~seed arch Profile.wx in
-      let q = Dnsproxy.make_query vulnerable lookup in
-      let got = Dnsproxy.handle_response vulnerable (dos_wire q) in
-      let patched = mk_device ~version:Version.v1_35 ~seed arch Profile.wx in
-      let q2 = Dnsproxy.make_query patched lookup in
-      let got2 = Dnsproxy.handle_response patched (dos_wire q2) in
+      let got = dos_word (mk_device ~seed arch Profile.wx) in
+      let got2 = dos_word (mk_device ~version:Version.v1_35 ~seed arch Profile.wx) in
       [
         row
           ~id:(Printf.sprintf "E0/%s" (Loader.Arch.name arch))
           ~section:"§III" ~description:"oversized Type-A response vs 1.34"
-          ~expected:"crash" (disposition_word got);
+          ~expected:"crash" got;
         row
           ~id:(Printf.sprintf "E0/%s/patched" (Loader.Arch.name arch))
           ~section:"§II" ~description:"same response vs patched 1.35"
-          ~expected:"parsed" (disposition_word got2);
+          ~expected:"parsed" got2;
       ])
     Loader.Arch.all
 
-(* --- E1–E6: the six-exploit matrix -------------------------------------- *)
+(* --- E1–E6 and the A1/A3/A7 ablations: one table over the matrix ------- *)
 
 let matrix_cells =
   [
@@ -90,45 +91,55 @@ let matrix_cells =
      "blx-trampoline ROP under W^X+ASLR");
   ]
 
-let e1_to_e6_matrix ?(seed = 1) () =
+(* Every matrix cell's own exploit, replayed under one profile
+   transform.  A row of this table is (id prefix, section — [None] keeps
+   the cell's own —, profile transform, expected word, description);
+   E1–E6 are the identity row, the §IV/hardening ablations the rest.
+   CFI CaRE guards return edges: pure code injection is already dead
+   under W^X, but the injected return still violates the shadow stack. *)
+let matrix_ablations =
+  let vs defense ~desc:_ ~strategy ~arch =
+    Printf.sprintf "%s vs %s on %s" defense strategy arch
+  in
+  [
+    ( "", None, Fun.id, "root shell",
+      fun ~desc ~strategy:_ ~arch -> Printf.sprintf "%s (%s)" desc arch );
+    ("A1/", Some "§IV", Profile.with_shadow_stack, "blocked", vs "CFI");
+    ("A3/", Some "§III (CFLAGS)", Profile.with_canary, "blocked", vs "canary");
+    ("A7/", Some "hardening", Profile.with_seccomp, "blocked",
+     vs "seccomp (no exec)");
+  ]
+
+let ablation_rows ~seed (prefix, section, harden, expected, describe) =
   List.map
-    (fun (id, section, arch, profile, strategy, description) ->
-      let d = mk_device ~seed arch profile in
+    (fun (id, cell_section, arch, profile, strategy, desc) ->
       let observed =
-        match fire ~strategy d with
+        match fire ~strategy (mk_device ~seed arch (harden profile)) with
         | Error e -> "generation failed: " ^ e
         | Ok (_, disposition) -> disposition_word disposition
       in
-      let description =
-        Printf.sprintf "%s (%s)" description (Loader.Arch.name arch)
-      in
-      row ~id ~section ~description ~expected:"root shell" observed)
+      row ~id:(prefix ^ id)
+        ~section:(Option.value section ~default:cell_section)
+        ~description:
+          (describe ~desc ~strategy:(Autogen.strategy_name strategy)
+             ~arch:(Loader.Arch.name arch))
+        ~expected observed)
     matrix_cells
+
+let ablation id ~seed =
+  ablation_rows ~seed
+    (List.find (fun (prefix, _, _, _, _) -> prefix = id) matrix_ablations)
+
+let e1_to_e6_matrix ?(seed = 1) () = ablation "" ~seed
 
 (* --- E7: Wi-Fi Pineapple remote delivery -------------------------------- *)
 
-let e7_pineapple ?(seed = 1) () =
-  let cells =
-    [
-      ("E7/x86-smash", Loader.Arch.X86, Profile.none, Some Autogen.Code_injection);
-      ("E7/arm-inject", Loader.Arch.Arm, Profile.none, Some Autogen.Code_injection);
-      ("E7/arm-wx", Loader.Arch.Arm, Profile.wx, Some Autogen.Rop_wx);
-      ("E7/arm-aslr", Loader.Arch.Arm, Profile.wx_aslr, Some Autogen.Rop_aslr);
-    ]
-  in
+let e7_pineapple ~seed =
   List.map
     (fun (id, arch, profile, strategy) ->
-      let config =
-        {
-          Dnsproxy.version = Version.v1_34;
-          arch;
-          profile;
-          boot_seed = seed;
-          diversity_seed = None;
-        }
-      in
+      let config = { Dnsproxy.default_config with arch; profile; boot_seed = seed } in
       let observed =
-        match Scenario.pineapple_attack ~seed ?strategy ~config () with
+        match Scenario.pineapple_attack ~seed ~strategy ~config () with
         | Error e -> "generation failed: " ^ e
         | Ok r -> (
             if r.Scenario.associated_after <> "pineapple" then "no hijack"
@@ -142,21 +153,18 @@ let e7_pineapple ?(seed = 1) () =
           (Printf.sprintf "Pineapple MITM, %s, %s" (Loader.Arch.name arch)
              (Profile.name profile))
         ~expected:"root shell" observed)
-    cells
+    [
+      ("E7/x86-smash", Loader.Arch.X86, Profile.none, Autogen.Code_injection);
+      ("E7/arm-inject", Loader.Arch.Arm, Profile.none, Autogen.Code_injection);
+      ("E7/arm-wx", Loader.Arch.Arm, Profile.wx, Autogen.Rop_wx);
+      ("E7/arm-aslr", Loader.Arch.Arm, Profile.wx_aslr, Autogen.Rop_aslr);
+    ]
 
 (* --- E8: firmware survey ------------------------------------------------ *)
 
-let e8_survey ?(seed = 1) () =
+let e8_survey ~seed =
   List.map
     (fun fw ->
-      let d = Dnsproxy.create (Firmware.to_config ~boot_seed:seed fw) in
-      let q = Dnsproxy.make_query d lookup in
-      let wire =
-        Dns.Craft.hostile_response ~query:q
-          ~raw_name:(Dns.Craft.dos_name ~size:8192)
-          ()
-      in
-      let got = Dnsproxy.handle_response d wire in
       row
         ~id:("E8/" ^ fw.Firmware.name)
         ~section:"§II–III"
@@ -164,39 +172,13 @@ let e8_survey ?(seed = 1) () =
           (Printf.sprintf "%s (connman %s)" fw.Firmware.os
              (Version.to_string fw.Firmware.connman))
         ~expected:(if Firmware.vulnerable fw then "crash" else "parsed")
-        (disposition_word got))
+        (dos_word (Dnsproxy.create (Firmware.to_config ~boot_seed:seed fw))))
     Firmware.catalog
-
-(* --- A1: CFI blocks every code-reuse exploit ---------------------------- *)
-
-let a1_cfi ?(seed = 1) () =
-  List.map
-    (fun (id, _, arch, profile, strategy, _) ->
-      let d = mk_device ~seed arch (Profile.with_shadow_stack profile) in
-      let observed =
-        match fire ~strategy d with
-        | Error e -> "generation failed: " ^ e
-        | Ok (_, disposition) -> disposition_word disposition
-      in
-      let expected =
-        (* CFI CaRE guards return edges; pure code injection is already
-           dead under W^X but the injected return still violates the
-           shadow stack. *)
-        "blocked"
-      in
-      row
-        ~id:("A1/" ^ id)
-        ~section:"§IV"
-        ~description:
-          (Printf.sprintf "CFI vs %s on %s" (Autogen.strategy_name strategy)
-             (Loader.Arch.name arch))
-        ~expected observed)
-    matrix_cells
 
 (* --- A2: software diversity --------------------------------------------- *)
 
-let a2_diversity ?(seed = 1) ?(fleet = 16) () =
-  let arch = Loader.Arch.Arm in
+let a2_diversity ~seed =
+  let fleet = 16 and arch = Loader.Arch.Arm in
   let analysis =
     Dnsproxy.process (mk_device ~seed ~diversity_seed:0 arch Profile.wx)
   in
@@ -240,30 +222,13 @@ let a2_diversity ?(seed = 1) ?(fleet = 16) () =
           ~expected:"root shell" (disposition_word control);
       ]
 
-(* --- A3: stack canaries -------------------------------------------------- *)
-
-let a3_canary ?(seed = 1) () =
-  List.map
-    (fun (id, _, arch, profile, strategy, _) ->
-      let d = mk_device ~seed arch (Profile.with_canary profile) in
-      let observed =
-        match fire ~strategy d with
-        | Error e -> "generation failed: " ^ e
-        | Ok (_, disposition) -> disposition_word disposition
-      in
-      row
-        ~id:("A3/" ^ id)
-        ~section:"§III (CFLAGS)"
-        ~description:
-          (Printf.sprintf "canary vs %s on %s" (Autogen.strategy_name strategy)
-             (Loader.Arch.name arch))
-        ~expected:"blocked" observed)
-    matrix_cells
-
 (* --- A4: ASLR entropy brute-force sweep ---------------------------------- *)
 
-let a4_entropy_sweep ?(seed = 1) ?(trials = 64) ?(bits = [ 0; 2; 4; 6 ]) () =
-  let arch = Loader.Arch.X86 in
+(* Brute-forcing hardcoded libc addresses against restarting daemons:
+   measured success rate vs the 2^-bits expectation (the related-work
+   D-Link brute-force discussion). *)
+let a4_entropy_sweep ~seed =
+  let trials = 64 and arch = Loader.Arch.X86 in
   (* Attacker hardcodes the static libc layout (analysis without ASLR). *)
   let analysis = Dnsproxy.process (mk_device ~seed arch Profile.wx) in
   match Autogen.generate ~analysis:(Exploit.Target.connman analysis) ~strategy:Autogen.Ret2libc () with
@@ -301,11 +266,30 @@ let a4_entropy_sweep ?(seed = 1) ?(trials = 64) ?(bits = [ 0; 2; 4; 6 ]) () =
             observed = Printf.sprintf "rate = %.3f" rate;
             ok = Stats.interval_contains interval expected_rate;
           })
-        bits
+        [ 0; 2; 4; 6 ]
+
+(* §V retargeting: the same toolkit against another daemon, one row per
+   (id, arch, profile, strategy, patched, expected).  [versions] names
+   the vulnerable and the patched release. *)
+let retarget_rows ~prefix ~daemon ~versions:(vulnerable, patched_version) fire
+    cells =
+  List.map
+    (fun (id, arch, profile, strategy, patched, expected) ->
+      row ~id:(prefix ^ id) ~section:"§V"
+        ~description:
+          (Printf.sprintf "%s %s: %s on %s" daemon
+             (if patched then patched_version else vulnerable)
+             (Autogen.strategy_name strategy)
+             (Loader.Arch.name arch))
+        ~expected
+        (fire ~patched arch profile strategy))
+    cells
 
 (* --- A6: §V adaptation — the toolkit vs dnsmasq-sim ---------------------- *)
 
-let a6_adaptation ?(seed = 1) () =
+(* Frame-geometry swap only: DoS, all four RCE strategies, and the
+   patched 2.78 control. *)
+let a6_adaptation ~seed =
   let module D = Dnsmasq.Daemon in
   let dnsmasq_target proc =
     Exploit.Target.make
@@ -331,18 +315,8 @@ let a6_adaptation ?(seed = 1) () =
         | D.Compromised _ -> "code execution"
         | D.Blocked _ -> "blocked")
   in
-  List.map
-    (fun (id, arch, profile, strategy, patched, expected) ->
-      row
-        ~id:("A6/" ^ id)
-        ~section:"§V"
-        ~description:
-          (Printf.sprintf "dnsmasq-sim %s: %s on %s"
-             (if patched then "2.78" else "2.77")
-             (Autogen.strategy_name strategy)
-             (Loader.Arch.name arch))
-        ~expected
-        (fire_dnsmasq ~patched arch profile strategy))
+  retarget_rows ~prefix:"A6/" ~daemon:"dnsmasq-sim" ~versions:("2.77", "2.78")
+    fire_dnsmasq
     [
       ("dos", Loader.Arch.X86, Profile.wx, Autogen.Dos, false, "crash");
       ("inject-x86", Loader.Arch.X86, Profile.none, Autogen.Code_injection, false,
@@ -358,7 +332,7 @@ let a6_adaptation ?(seed = 1) () =
 
 (* --- A5: the automated generator end-to-end ------------------------------ *)
 
-let a5_autogen ?(seed = 1) () =
+let a5_autogen ~seed =
   List.map
     (fun (arch, profile) ->
       let d = mk_device ~seed arch profile in
@@ -388,7 +362,11 @@ let a5_autogen ?(seed = 1) () =
 
 (* --- A8: §V protocol adaptation — crafted TCP packets --------------------- *)
 
-let a8_tcp_carrier ?(seed = 1) () =
+(* §V's broader claim — "any protocol-based overflow vulnerability
+   is susceptible, as long as the code is modified to craft the
+   appropriate packet" — the same payloads delivered verbatim inside a
+   framed TCP message to tcpsvc-sim. *)
+let a8_tcp_carrier ~seed =
   let module D = Tcpsvc.Daemon in
   let tcpsvc_target proc =
     Exploit.Target.make
@@ -414,18 +392,7 @@ let a8_tcp_carrier ?(seed = 1) () =
         | D.Compromised _ -> "code execution"
         | D.Blocked _ -> "blocked")
   in
-  List.map
-    (fun (id, arch, profile, strategy, patched, expected) ->
-      row
-        ~id:("A8/" ^ id)
-        ~section:"§V"
-        ~description:
-          (Printf.sprintf "tcpsvc-sim %s: %s on %s"
-             (if patched then "1.1" else "1.0")
-             (Autogen.strategy_name strategy)
-             (Loader.Arch.name arch))
-        ~expected
-        (fire ~patched arch profile strategy))
+  retarget_rows ~prefix:"A8/" ~daemon:"tcpsvc-sim" ~versions:("1.0", "1.1") fire
     [
       ("inject-arm", Loader.Arch.Arm, Profile.none, Autogen.Code_injection, false,
        "root shell");
@@ -438,40 +405,26 @@ let a8_tcp_carrier ?(seed = 1) () =
       ("patched", Loader.Arch.Arm, Profile.wx, Autogen.Rop_wx, true, "rejected");
     ]
 
-(* --- A7: seccomp syscall filter ------------------------------------------ *)
-
-let a7_seccomp ?(seed = 1) () =
-  List.map
-    (fun (id, _, arch, profile, strategy, _) ->
-      let d = mk_device ~seed arch (Profile.with_seccomp profile) in
-      let observed =
-        match fire ~strategy d with
-        | Error e -> "generation failed: " ^ e
-        | Ok (_, disposition) -> disposition_word disposition
-      in
-      row
-        ~id:("A7/" ^ id)
-        ~section:"hardening"
-        ~description:
-          (Printf.sprintf "seccomp (no exec) vs %s on %s"
-             (Autogen.strategy_name strategy)
-             (Loader.Arch.name arch))
-        ~expected:"blocked" observed)
-    matrix_cells
+(* The experiment index, in order: one runner per group (DESIGN.md's
+   experiment table). *)
+let groups =
+  [
+    ("E0", e0_dos);
+    ("E1–E6", ablation "");
+    ("E7", e7_pineapple);
+    ("E8", e8_survey);
+    ("A1", ablation "A1/");
+    ("A2", a2_diversity);
+    ("A3", ablation "A3/");
+    ("A4", a4_entropy_sweep);
+    ("A5", a5_autogen);
+    ("A6", a6_adaptation);
+    ("A7", ablation "A7/");
+    ("A8", a8_tcp_carrier);
+  ]
 
 let all ?(seed = 1) () =
-  e0_dos ~seed ()
-  @ e1_to_e6_matrix ~seed ()
-  @ e7_pineapple ~seed ()
-  @ e8_survey ~seed ()
-  @ a1_cfi ~seed ()
-  @ a2_diversity ~seed ()
-  @ a3_canary ~seed ()
-  @ a4_entropy_sweep ~seed ()
-  @ a5_autogen ~seed ()
-  @ a6_adaptation ~seed ()
-  @ a7_seccomp ~seed ()
-  @ a8_tcp_carrier ~seed ()
+  List.fold_left (fun rows (_, run) -> rows @ run ~seed) [] groups
 
 (* --- C: chaos campaign — the matrix under deterministic faults ----------- *)
 
@@ -544,27 +497,30 @@ let count_cached device =
        (function Dnsproxy.Cached _ -> true | _ -> false)
        (Device.dispositions device))
 
-(* One cell × one schedule: a victim and a malicious resolver alone on an
-   impaired LAN, connmand under supervision.  [instrument] runs once the
-   world, device, and supervisor exist but before any traffic — the
-   telemetry layer's attach point. *)
-let run_chaos_cell ?(instrument = fun _ _ _ -> ()) ?(shards = 1) ~seed
-    (cell, arch, profile, kind) (sched_name, policy) =
-  let world = W.create ~seed ~shards () in
+(* A victim (booted from [config]) and the attacker's host alone on one
+   LAN, the victim resolving through the attacker. *)
+let venue ?policy ?shards ~seed config =
+  let world = W.create ~seed ?shards () in
   let lan = W.add_lan world ~name:"venue" in
-  W.set_lan_policy world lan policy;
+  Option.iter (W.set_lan_policy world lan) policy;
   let attacker_ip = Ip.of_string "10.9.0.1" in
   let attacker = W.add_host world ~name:"attacker" in
   W.set_host_ip attacker (Some attacker_ip);
   W.attach attacker lan;
-  let config =
-    { Dnsproxy.version = Version.v1_34; arch; profile; boot_seed = seed;
-      diversity_seed = None }
-  in
   let device = Device.create world ~name:"victim" ~config in
   W.attach (Device.host device) lan;
   W.set_host_ip (Device.host device) (Some (Ip.of_string "10.9.0.100"));
   W.set_host_dns (Device.host device) (Some attacker_ip);
+  (world, attacker, device)
+
+(* One cell × one schedule: the venue on an impaired LAN, connmand under
+   supervision.  [instrument] runs once the world, device, and
+   supervisor exist but before any traffic — the telemetry layer's
+   attach point. *)
+let run_chaos_cell ?(instrument = fun _ _ _ -> ()) ?(shards = 1) ~seed
+    (cell, arch, profile, kind) (sched_name, policy) =
+  let config = { Dnsproxy.default_config with arch; profile; boot_seed = seed } in
+  let world, attacker, device = venue ~policy ~shards ~seed config in
   let sup = Device.supervise device in
   instrument world device sup;
   let attack_response =
@@ -721,12 +677,7 @@ let run_instrumented_cell ?(seed = 1) ?(schedule = "clean") ?(shards = 1)
    should fall monotonically as loss rises. *)
 let chaos_sweep ~seed ~trials =
   let arch = Loader.Arch.X86 and profile = Profile.none in
-  let analysis =
-    Dnsproxy.process
-      (Dnsproxy.create
-         { Dnsproxy.version = Version.v1_34; arch; profile;
-           boot_seed = seed + 5000; diversity_seed = None })
-  in
+  let analysis = Dnsproxy.process (mk_device ~seed:(seed + 5000) arch profile) in
   let raw_name =
     match
       Autogen.generate ~analysis:(Exploit.Target.connman analysis)
@@ -739,22 +690,12 @@ let chaos_sweep ~seed ~trials =
     (fun loss ->
       let hits = ref 0 in
       for i = 1 to trials do
-        let world = W.create ~seed:(seed + (i * 131)) () in
-        let lan = W.add_lan world ~name:"venue" in
-        if loss > 0.0 then W.set_lan_policy world lan (F.lossy loss);
-        let attacker_ip = Ip.of_string "10.9.0.1" in
-        let attacker = W.add_host world ~name:"attacker" in
-        W.set_host_ip attacker (Some attacker_ip);
-        W.attach attacker lan;
-        let device =
-          Device.create world ~name:"victim"
-            ~config:
-              { Dnsproxy.version = Version.v1_34; arch; profile;
-                boot_seed = seed + i; diversity_seed = None }
+        let world, attacker, device =
+          venue
+            ?policy:(if loss > 0.0 then Some (F.lossy loss) else None)
+            ~seed:(seed + (i * 131))
+            { Dnsproxy.default_config with arch; profile; boot_seed = seed + i }
         in
-        W.attach (Device.host device) lan;
-        W.set_host_ip (Device.host device) (Some (Ip.of_string "10.9.0.100"));
-        W.set_host_dns (Device.host device) (Some attacker_ip);
         Netsim.Dns_server.malicious world attacker ~forge:(fun ~query ~raw:_ ->
             match raw_name with
             | Some raw_name -> Some (Autogen.response_for ~query ~raw_name)

@@ -39,39 +39,16 @@ val matrix_cells :
 (** The six-exploit matrix: id, paper section, arch, protection profile,
     payload strategy, description. *)
 
-val e0_dos : ?seed:int -> unit -> row list
 val e1_to_e6_matrix : ?seed:int -> unit -> row list
-val e7_pineapple : ?seed:int -> unit -> row list
-val e8_survey : ?seed:int -> unit -> row list
-val a1_cfi : ?seed:int -> unit -> row list
-val a2_diversity : ?seed:int -> ?fleet:int -> unit -> row list
-val a3_canary : ?seed:int -> unit -> row list
-
-val a4_entropy_sweep : ?seed:int -> ?trials:int -> ?bits:int list -> unit -> row list
-(** Brute-forcing hardcoded libc addresses against restarting daemons:
-    measured success rate vs the 2^-bits expectation (the related-work
-    D-Link brute-force discussion). *)
-
-val a5_autogen : ?seed:int -> unit -> row list
-
-val a6_adaptation : ?seed:int -> unit -> row list
-(** §V: the same toolkit retargeted (frame-geometry swap only) to the
-    dnsmasq-sim daemon — DoS, all four RCE strategies, and the patched
-    2.78 control. *)
-
-val a7_seccomp : ?seed:int -> unit -> row list
-(** A syscall filter denying exec: every RCE strategy reaches the exec
-    attempt and dies there — damage limited to a daemon kill (DoS). *)
-
-val a8_tcp_carrier : ?seed:int -> unit -> row list
-(** §V's broader claim: "any protocol-based overflow vulnerability is
-    susceptible, as long as the code is modified to craft the appropriate
-    packet" — the same payloads delivered verbatim inside a framed TCP
-    message to tcpsvc-sim. *)
+(** The six-exploit matrix alone: the identity row of the ablation
+    table over {!matrix_cells}. *)
 
 val all : ?seed:int -> unit -> row list
-(** Every experiment, in index order (entropy sweep and diversity run at
-    reduced trial counts suitable for a test/bench pass). *)
+(** Every experiment, in index order: E0–E8, then the A1–A8 ablations.
+    E1–E6 and the A1 (shadow stack), A3 (canary) and A7 (seccomp)
+    ablations are rows of one table over {!matrix_cells}, each a profile
+    transform and an expected word; the entropy sweep and diversity run
+    at reduced trial counts suitable for a test/bench pass. *)
 
 val pp_table : Format.formatter -> row list -> unit
 val pp_markdown : Format.formatter -> row list -> unit

@@ -346,6 +346,27 @@ let test_experiment_table_renders () =
   let md = Format.asprintf "%a" Experiments.pp_markdown rows in
   check_bool "markdown rows" true (String.length md > 100)
 
+(* Pinned output: digests of the seed-1 experiment table, its markdown
+   rendering and the detection-matrix JSON, computed while every
+   experiment group was still a hand-written function.  How the rows
+   are produced may change; what they say may not. *)
+let golden_digests () =
+  let rows = Experiments.all ~seed:1 () in
+  [
+    ( "pp_table", "c132f4d42dd14f198111a19bfb012ed4",
+      Format.asprintf "%a" Experiments.pp_table rows );
+    ( "pp_markdown", "4b2e4c739281d19f12b436e3a9101c6e",
+      Format.asprintf "%a" Experiments.pp_markdown rows );
+    ( "detection_json", "ef9c4d3e021bf340ca231e73518709f0",
+      Experiments.detection_json ~seed:1 (Experiments.detection_matrix ~seed:1 ()) );
+  ]
+
+let test_experiment_golden () =
+  List.iter
+    (fun (name, digest, text) ->
+      check_string (name ^ " digest") digest (Digest.to_hex (Digest.string text)))
+    (golden_digests ())
+
 let () =
   Alcotest.run "core"
     [
@@ -398,5 +419,6 @@ let () =
         [
           Alcotest.test_case "all rows reproduce" `Slow test_experiment_rows_all_pass;
           Alcotest.test_case "tables render" `Quick test_experiment_table_renders;
+          Alcotest.test_case "seed-1 digests pinned" `Slow test_experiment_golden;
         ] );
     ]
