@@ -535,16 +535,19 @@ let run_hooked ?(fuel = 2_000_000) ~traps ~kernel ~hooks t =
   | [] -> run ~fuel ~traps ~kernel t
   | hooks ->
       let h = Hook.compose hooks in
+      let trap, more = Hook.traps traps in
+      let classify = h.classify in
       let stop e reason =
         Option.iter (fun f -> f e) h.finish;
         reason
       in
       let stopped reason = stop (Hook.Stopped reason) reason in
       let rec loop budget =
+        let start = pc t in
         if budget <= 0 then stop Hook.Out_of_fuel Outcome.Fuel_exhausted
-        else if Hook.is_trap (pc t) traps then stop Hook.Trapped Outcome.Halted
+        else if start = trap || (match more with None -> false | Some s -> Hashtbl.mem s start)
+        then stop Hook.Trapped Outcome.Halted
         else begin
-          let start = pc t in
           (match h.fetch with Some f -> f start | None -> ());
           match fetch t start with
           | exception e -> stopped (fetch_failed e)
@@ -552,7 +555,9 @@ let run_hooked ?(fuel = 2_000_000) ~traps ~kernel ~hooks t =
               let next = Word.add start 4 in
               match
                 match h.check with
-                | Some check -> check ~pc:start ~next c.insn (transfer t start c.insn)
+                | Some check ->
+                    check ~pc:start ~next c.insn
+                      (if classify then transfer t start c.insn else Hook.Fall)
                 | None -> None
               with
               | Some reason -> stopped reason

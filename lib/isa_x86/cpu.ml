@@ -565,22 +565,27 @@ let transfer t next = function
 
 (* One fetch per instruction, shared by every hook and by execution, so
    the icache sees exactly the lookups of a hookless run.  Without hooks
-   this is [run] and its trap-specialized loops. *)
+   this is [run] and its trap-specialized loops; with hooks the trap test
+   is [Hook.traps]' (one int compare for at most one trap), and the
+   instruction is classified only when a hook reads its transfer. *)
 let run_hooked ?(fuel = 2_000_000) ~traps ~kernel ~hooks t =
   match hooks with
   | [] -> run ~fuel ~traps ~kernel t
   | hooks ->
       let h = Hook.compose hooks in
+      let trap, more = Hook.traps traps in
+      let classify = h.classify in
       let stop e reason =
         Option.iter (fun f -> f e) h.finish;
         reason
       in
       let stopped reason = stop (Hook.Stopped reason) reason in
       let rec loop budget =
+        let pc = t.eip in
         if budget <= 0 then stop Hook.Out_of_fuel Outcome.Fuel_exhausted
-        else if Hook.is_trap t.eip traps then stop Hook.Trapped Outcome.Halted
+        else if pc = trap || (match more with None -> false | Some s -> Hashtbl.mem s pc)
+        then stop Hook.Trapped Outcome.Halted
         else begin
-          let pc = t.eip in
           (match h.fetch with Some f -> f pc | None -> ());
           match fetch t pc with
           | exception e -> stopped (fetch_failed e)
@@ -588,7 +593,9 @@ let run_hooked ?(fuel = 2_000_000) ~traps ~kernel ~hooks t =
               let next = c.next in
               match
                 match h.check with
-                | Some check -> check ~pc ~next c.insn (transfer t next c.insn)
+                | Some check ->
+                    check ~pc ~next c.insn
+                      (if classify then transfer t next c.insn else Hook.Fall)
                 | None -> None
               with
               | Some reason -> stopped reason

@@ -20,16 +20,18 @@ type 'insn t = {
   fetch : (int -> unit) option;
   check :
     (pc:int -> next:int -> 'insn -> transfer -> Outcome.stop_reason option) option;
+  classify : bool;
   retire : (pc:int -> next:int -> unit) option;
   finish : (ending -> unit) option;
 }
 
-let nothing = { fetch = None; check = None; retire = None; finish = None }
+let nothing =
+  { fetch = None; check = None; classify = false; retire = None; finish = None }
 
 (* One hook calling every hook's callbacks in list order.  A callback
    only one hook has is used as is, and one no hook has stays [None], so
    the loop pays nothing for callbacks no hook uses — in particular it
-   skips classification when no hook checks. *)
+   skips classification when no hook reads the transfer. *)
 let compose hooks =
   let join field combine =
     match List.filter_map field hooks with
@@ -45,10 +47,17 @@ let compose hooks =
         (fun fs ~pc ~next insn tr -> List.find_map (fun f -> f ~pc ~next insn tr) fs);
     retire =
       join (fun h -> h.retire) (fun fs ~pc ~next -> List.iter (fun f -> f ~pc ~next) fs);
+    classify = List.exists (fun h -> h.classify) hooks;
     finish = join (fun h -> h.finish) (fun fs e -> List.iter (fun f -> f e) fs);
   }
 
-let rec is_trap pc = function [] -> false | a :: rest -> a = pc || is_trap pc rest
+let traps = function
+  | [] -> (-1, None)
+  | [ a ] -> (a, None)
+  | l ->
+      let set = Hashtbl.create (2 * List.length l) in
+      List.iter (fun a -> Hashtbl.replace set a ()) l;
+      (-1, Some set)
 
 let sample f = { nothing with fetch = Some f }
 
@@ -69,6 +78,7 @@ let trace v tr =
               emit "syscall" [ ("vector", Tr.I vector); (v.sysreg, Tr.I number) ]
           | _ -> ());
           None);
+    classify = true;
     retire =
       Some
         (fun ~pc ~next ->
@@ -125,6 +135,7 @@ let cfi v ~shadow_stack ~forward_cfi ~valid_target =
                   Some (Outcome.Cfi_violation { at = pc; expected; got = target })
               | [] -> Some (Outcome.Cfi_violation { at = pc; expected = 0; got = target }))
           | Return _ | Fall | Syscall _ -> None);
+    classify = true;
     retire =
       Some
         (fun ~pc:_ ~next:_ ->

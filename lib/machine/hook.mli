@@ -4,8 +4,9 @@
     Each ISA has one hooked loop ([Cpu.run_hooked]).  Per instruction it
     reports the pc about to be fetched ({!t.fetch}), fetches once
     (through the decoded-instruction cache when that is on), classifies
-    the instruction's control flow ({!transfer}) against the pre-state,
-    offers both to every hook ({!t.check}) — any hook may stop the run
+    the instruction's control flow ({!transfer}) against the pre-state
+    when some hook reads it ({!t.classify}), offers both to every hook
+    ({!t.check}) — any hook may stop the run
     there, before the instruction executes — executes it, and tells every
     hook it retired ({!t.retire}), which is when hooks commit their own
     state.  {!t.finish} reports how the run ended.  Hooks are called in
@@ -55,6 +56,9 @@ type 'insn t = {
   check :
     (pc:int -> next:int -> 'insn -> transfer -> Outcome.stop_reason option) option;
       (** [next] is the fall-through address *)
+  classify : bool;
+      (** [check] reads its {!transfer}.  When no hook does, the loop
+          does not classify and passes [Fall]. *)
   retire : (pc:int -> next:int -> unit) option;
   finish : (ending -> unit) option;
 }
@@ -66,11 +70,16 @@ val nothing : 'insn t
 val compose : 'insn t list -> 'insn t
 (** One hook that calls the list's hooks in order.  Its [check] stops at
     the first hook that stops the run: later hooks are not asked.  A
-    callback no hook has stays [None] — the loop skips classification
-    when nothing checks. *)
+    callback no hook has stays [None], and it classifies when any hook
+    does — the loop skips classification when nothing reads it. *)
 
-val is_trap : int -> int list -> bool
-(** [List.mem] on ints, without the polymorphic compare. *)
+val traps : int list -> int * (int, unit) Hashtbl.t option
+(** The hooked loops' trap test, built once per run and specialised the
+    way [Cpu.run]'s loops are: [(first, more)] where a pc is a trap iff
+    it equals [first] or is in [more].  [first] is the only trap, or -1
+    (no pc) when there is none; [more] holds the traps when there are
+    several, so a run with at most one trap pays one int compare per
+    step. *)
 
 (** {2 The ISA-neutral hooks} *)
 

@@ -40,20 +40,30 @@ val create : unit -> t
 val get : t -> int -> label
 (** [get t addr] — label of guest byte [addr]; [clean] if never set. *)
 
+val get32 : t -> int -> label
+(** Join of the labels of the four bytes at [addr], lowest address
+    first — one page lookup when they share a page. *)
+
 val set : t -> int -> label -> unit
 (** [set t addr label].  Setting [clean] on an untouched page allocates
     nothing. *)
+
+val fill : t -> int -> len:int -> label -> unit
+(** [fill t addr ~len label] sets [len] bytes from [addr] to [label]. *)
 
 val clear_range : t -> int -> len:int -> unit
 (** Mark [len] bytes from [addr] clean. *)
 
 val clear : t -> unit
-(** Mark every byte clean.  Pages that ever carried a label are zeroed
-    in place and kept, so clearing and re-tainting the same pages (once
-    per parse) allocates nothing. *)
+(** Mark every byte clean.  Each page keeps the range of offsets labelled
+    since the last clear, and only those ranges are zeroed, so the cost
+    follows what was tainted, not how many pages ever were.  Pages are
+    kept: clearing and re-tainting the same pages (once per parse)
+    allocates nothing. *)
 
 val tainted : t -> int
-(** Number of bytes currently carrying a non-zero label. *)
+(** Number of bytes currently carrying a non-zero label (a scan of the
+    labelled ranges). *)
 
 type snapshot
 (** Deep copy of the label state, independent of later mutation. *)

@@ -44,7 +44,11 @@ type t = {
   regs : int array;  (* 16 taint slots cover both ISAs; x86 uses 0..7 *)
   mutable sources : (int * source) list;  (* since [begin_parse], newest first *)
   mutable next_source : int;
-  ret_slots : (int, bool ref) Hashtbl.t;  (* slot base -> reported? *)
+  (* Live return slots: the first [n_slots] of [slots] are their base
+     addresses, unordered, and [fired] says whether each has reported. *)
+  mutable slots : int array;
+  mutable fired : bool array;
+  mutable n_slots : int;
   mutable redzones : redzone list;
   mutable reports : report list;  (* newest first *)
   mutable n_reports : int;
@@ -58,7 +62,9 @@ let create () =
     regs = Array.make 16 0;
     sources = [];
     next_source = 0;
-    ret_slots = Hashtbl.create 16;
+    slots = Array.make 16 0;
+    fired = Array.make 16 false;
+    n_slots = 0;
     redzones = [];
     reports = [];
     n_reports = 0;
@@ -84,7 +90,7 @@ let begin_parse t =
   t.sources <- [];
   Shadow.clear t.shadow;
   Array.fill t.regs 0 16 0;
-  Hashtbl.reset t.ret_slots;
+  t.n_slots <- 0;
   t.redzones <- []
 
 let taint t ~src addr ~len =
@@ -96,24 +102,45 @@ let taint t ~src addr ~len =
 
 let mem_label t addr = Shadow.get t.shadow addr
 
-let mem_label32 t addr =
-  let l0 = Shadow.get t.shadow addr in
-  let l1 = Shadow.get t.shadow (Memsim.Word.add addr 1) in
-  let l2 = Shadow.get t.shadow (Memsim.Word.add addr 2) in
-  let l3 = Shadow.get t.shadow (Memsim.Word.add addr 3) in
-  Shadow.join l0 (Shadow.join l1 (Shadow.join l2 l3))
+let mem_label32 t addr = Shadow.get32 t.shadow addr
 
 let set_mem_label t addr l = Shadow.set t.shadow addr l
 let reg_label t i = t.regs.(i)
 let set_reg_label t i l = t.regs.(i) <- l
 let tainted_bytes t = Shadow.tainted t.shadow
 
-let note_ret_slot t addr =
-  if not (Hashtbl.mem t.ret_slots addr) then
-    Hashtbl.replace t.ret_slots addr (ref false)
+let find_slot t addr =
+  let rec go i = if i = t.n_slots || t.slots.(i) = addr then i else go (i + 1) in
+  go 0
 
-let clear_ret_slot t addr = Hashtbl.remove t.ret_slots addr
-let ret_slot_count t = Hashtbl.length t.ret_slots
+let note_ret_slot t addr =
+  let i = find_slot t addr in
+  if i = t.n_slots then begin
+    if i = Array.length t.slots then begin
+      let grow a fill =
+        let b = Array.make (2 * i) fill in
+        Array.blit a 0 b 0 i;
+        b
+      in
+      t.slots <- grow t.slots 0;
+      t.fired <- grow t.fired false
+    end;
+    t.slots.(i) <- addr;
+    t.fired.(i) <- false;
+    t.n_slots <- i + 1
+  end
+
+(* The last live slot takes the removed one's place. *)
+let clear_ret_slot t addr =
+  let i = find_slot t addr in
+  if i < t.n_slots then begin
+    let last = t.n_slots - 1 in
+    t.slots.(i) <- t.slots.(last);
+    t.fired.(i) <- t.fired.(last);
+    t.n_slots <- last
+  end
+
+let ret_slot_count t = t.n_slots
 
 let add_redzone t ~base ~len =
   if len > 0 then t.redzones <- { base; len; fired = false } :: t.redzones
@@ -145,53 +172,46 @@ let record t ~kind ~step ~pc ~addr ~target ~label ~detail =
           ]
         (kind_name kind)
 
-(* Is any byte of [addr, addr+len) inside a registered return slot?
-   Slots are 4 bytes, so the slot containing byte [b] must start in
-   [b-3, b]: a handful of hash lookups per store, independent of how
-   many slots are live. *)
+(* The live slot a store over [addr, addr+len) hits, or -1: of the
+   4-byte slots it overlaps, the one whose first covered byte is lowest,
+   then the lowest slot — which is simply the lowest overlapping slot.
+   Live slots are a call stack's worth, so a linear scan beats hashing
+   every byte of the store.  An empty store covers nothing. *)
 let hit_ret_slot t addr len =
-  let found = ref None in
-  (try
-     for b = addr to addr + len - 1 do
-       for s = b - 3 to b do
-         match Hashtbl.find_opt t.ret_slots s with
-         | Some fired when s <= b && b < s + 4 ->
-             found := Some (s, fired);
-             raise Exit
-         | _ -> ()
-       done
-     done
-   with Exit -> ());
-  !found
+  let best = ref (-1) in
+  for i = 0 to (if len > 0 then t.n_slots - 1 else -1) do
+    let s = Array.unsafe_get t.slots i in
+    if s < addr + len && s + 4 > addr && (!best < 0 || s < t.slots.(!best)) then
+      best := i
+  done;
+  !best
 
-let hit_redzone t addr len =
-  List.find_opt
-    (fun z -> addr < z.base + z.len && addr + len > z.base)
-    t.redzones
+(* The first redzone in the list the store overlaps; it reports unless
+   it already has. *)
+let rec check_redzones t ~pc ~step ~addr ~len ~value ~label = function
+  | [] -> ()
+  | z :: rest ->
+      if addr < z.base + z.len && addr + len > z.base then begin
+        if not z.fired then begin
+          z.fired <- true;
+          record t ~kind:Redzone_write ~step ~pc ~addr ~target:value ~label
+            ~detail:
+              (Printf.sprintf "tainted write %d bytes past buffer end" (addr - z.base))
+        end
+      end
+      else check_redzones t ~pc ~step ~addr ~len ~value ~label rest
 
 let store t ~pc ~step ~addr ~len ~value ~label =
-  for i = 0 to len - 1 do
-    Shadow.set t.shadow (Memsim.Word.add addr i) label
-  done;
+  Shadow.fill t.shadow addr ~len label;
   if label <> 0 then begin
-    match hit_ret_slot t addr len with
-    | Some (slot, fired) ->
-        if not !fired then begin
-          fired := true;
-          record t ~kind:Ret_slot_overwrite ~step ~pc ~addr:slot ~target:value
-            ~label
-            ~detail:
-              (Printf.sprintf "tainted %d-byte store over return slot" len)
-        end
-    | None -> (
-        match hit_redzone t addr len with
-        | Some z when not z.fired ->
-            z.fired <- true;
-            record t ~kind:Redzone_write ~step ~pc ~addr ~target:value ~label
-              ~detail:
-                (Printf.sprintf "tainted write %d bytes past buffer end"
-                   (addr - z.base))
-        | _ -> ())
+    let i = hit_ret_slot t addr len in
+    if i < 0 then check_redzones t ~pc ~step ~addr ~len ~value ~label t.redzones
+    else if not t.fired.(i) then begin
+      t.fired.(i) <- true;
+      record t ~kind:Ret_slot_overwrite ~step ~pc ~addr:t.slots.(i) ~target:value
+        ~label
+        ~detail:(Printf.sprintf "tainted %d-byte store over return slot" len)
+    end
   end
 
 let check_pc t ~pc ~step ~target ~slot ~label ~detail =

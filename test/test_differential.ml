@@ -205,6 +205,129 @@ let prop_arm_differential =
       run_arm program = Some expected)
 
 (* ------------------------------------------------------------------ *)
+(* Mode lattice: every entry point runs a program the same way          *)
+(* ------------------------------------------------------------------ *)
+
+(* Hooks that do nothing, one callback each: whichever the loop calls,
+   the run must be [run]'s. *)
+let noop_hooks () =
+  let n = Machine.Hook.nothing in
+  let check ~pc:_ ~next:_ _ _ = None in
+  [
+    { n with fetch = Some ignore };
+    { n with check = Some check };
+    { n with check = Some check; classify = true };
+    { n with retire = Some (fun ~pc:_ ~next:_ -> ()) };
+    { n with finish = Some ignore };
+  ]
+
+(* Every entry point, given the ISA's: [run], each lone no-op hook
+   through [run_hooked], then the profiled, sanitized and mitigated
+   loops. *)
+let lattice_modes ~run ~hooked ~traced ~sanitized ~mitigated =
+  (run :: List.map (fun h -> hooked [ h ]) (noop_hooks ())) @ [ traced; sanitized; mitigated ]
+
+(* A generated program, its trap set (0, 1 or 3 instruction indices,
+   the final halt included) and its fuel (sometimes too little); the
+   property holds when every mode ends the program's run with the same
+   outcome and the same [observe]d state (steps, registers, pc). *)
+let lattice_prop ~name ~to_string gen_program ~code_of ~observe ~modes =
+  QCheck.Test.make ~name ~count:200
+    (QCheck.make
+       ~print:(fun (p, t, f) ->
+         Printf.sprintf "%s | traps %s | fuel %d"
+           (String.concat "; " (List.map to_string p))
+           (String.concat "," (List.map string_of_int t))
+           f)
+       QCheck.Gen.(
+         triple gen_program
+           (oneofl [ 0; 1; 3 ] >>= fun k -> list_repeat k (int_bound 1000))
+           (int_range 1 80)))
+    (fun (program, idx, fuel) ->
+      let code, boundaries = code_of program in
+      let traps = List.map (fun i -> List.nth boundaries (i mod List.length boundaries)) idx in
+      let fresh () =
+        let mem = Mem.create () in
+        Mem.map mem ~base:0x1000 ~size:0x1000 ~perm:Mem.rx ~name:"text";
+        Mem.poke_bytes mem 0x1000 code;
+        Mem.map mem ~base:0x8000 ~size:0x1000 ~perm:Mem.rw ~name:"stack";
+        mem
+      in
+      match
+        List.map
+          (fun run ->
+            let cpu, outcome = run ~fuel ~traps (fresh ()) in
+            (outcome, observe cpu))
+          (modes ())
+      with
+      | base :: rest -> List.for_all (( = ) base) rest
+      | [] -> true)
+
+let prop_x86_lattice =
+  let module C = Isa_x86.Cpu in
+  let kernel = no_kernel in
+  let on f ~fuel ~traps mem =
+    let cpu = C.create mem in
+    C.set cpu Isa_x86.Insn.ESP 0x8F00;
+    cpu.C.eip <- 0x1000;
+    (cpu, f ~fuel ~traps cpu)
+  in
+  lattice_prop ~name:"x86: run = run_hooked/traced/sanitized/mitigated"
+    ~to_string:Isa_x86.Insn.to_string gen_x86_program
+    ~code_of:(fun program ->
+      let code = List.map Isa_x86.Encode.encode (program @ [ Isa_x86.Insn.Hlt ]) in
+      ( String.concat "" code,
+        List.rev (List.fold_left (fun acc c -> (List.hd acc + String.length c) :: acc) [ 0x1000 ] code)
+      ))
+    ~observe:(fun (c : C.t) ->
+      (c.C.steps, Array.to_list c.C.regs, c.C.eip, [ c.C.zf; c.C.sf; c.C.cf; c.C.o_f ]))
+    ~modes:(fun () ->
+      lattice_modes
+        ~run:(on (fun ~fuel ~traps c -> C.run ~fuel ~traps ~kernel c))
+        ~hooked:(fun hooks -> on (fun ~fuel ~traps c -> C.run_hooked ~fuel ~traps ~kernel ~hooks c))
+        ~traced:
+          (on (fun ~fuel ~traps c ->
+               C.run_traced ~fuel ~traps ~kernel ~profile:(Telemetry.Profile.create ()) c))
+        ~sanitized:
+          (on (fun ~fuel ~traps c ->
+               C.run_sanitized ~fuel ~traps ~kernel ~oracle:(Sanitizer.Oracle.create ()) c))
+        ~mitigated:
+          (on (fun ~fuel ~traps c ->
+               C.run_mitigated ~fuel ~traps ~kernel ~shadow_stack:true ~forward_cfi:true
+                 ~valid_target:(fun _ -> true) c)))
+
+let prop_arm_lattice =
+  let module C = Isa_arm.Cpu in
+  let kernel n _ = if n = 0xFF then O.Stop O.Halted else O.Resume in
+  let on f ~fuel ~traps mem =
+    let cpu = C.create mem in
+    C.set cpu Isa_arm.Insn.SP 0x8F00;
+    C.set_pc cpu 0x1000;
+    (cpu, f ~fuel ~traps cpu)
+  in
+  lattice_prop ~name:"arm: run = run_hooked/traced/sanitized/mitigated"
+    ~to_string:Isa_arm.Insn.to_string gen_arm_program
+    ~code_of:(fun program ->
+      let insns = program @ [ Isa_arm.Insn.(al (Svc 0xFF)) ] in
+      ( String.concat "" (List.map Isa_arm.Encode.encode insns),
+        List.init (List.length insns) (fun i -> 0x1000 + (4 * i)) ))
+    ~observe:(fun (c : C.t) -> (c.C.steps, Array.to_list c.C.regs, 0, [ c.C.n; c.C.z; c.C.c; c.C.v ]))
+    ~modes:(fun () ->
+      lattice_modes
+        ~run:(on (fun ~fuel ~traps c -> C.run ~fuel ~traps ~kernel c))
+        ~hooked:(fun hooks -> on (fun ~fuel ~traps c -> C.run_hooked ~fuel ~traps ~kernel ~hooks c))
+        ~traced:
+          (on (fun ~fuel ~traps c ->
+               C.run_traced ~fuel ~traps ~kernel ~profile:(Telemetry.Profile.create ()) c))
+        ~sanitized:
+          (on (fun ~fuel ~traps c ->
+               C.run_sanitized ~fuel ~traps ~kernel ~oracle:(Sanitizer.Oracle.create ()) c))
+        ~mitigated:
+          (on (fun ~fuel ~traps c ->
+               C.run_mitigated ~fuel ~traps ~kernel ~shadow_stack:true ~forward_cfi:true
+                 ~valid_target:(fun _ -> true) c)))
+
+(* ------------------------------------------------------------------ *)
 (* Equivalent-instruction randomization preserves semantics (§IV)       *)
 (* ------------------------------------------------------------------ *)
 
@@ -643,13 +766,19 @@ let observer_sets =
     ("trace+sanitizer", { no_observers with trace = true; sanitizer = true });
   ]
 
+(* Each variant turns the stock victim's config into the one attacked;
+   "div+shstk" is a diversified variant (the attacker still analyses the
+   stock binary) with the shadow stack on. *)
 let mitigation_variants =
+  let profile f c = { c with Connman.Dnsproxy.profile = f c.Connman.Dnsproxy.profile } in
   Defense.Profile.
     [
       ("base", Fun.id);
-      ("shstk", with_shadow_stack);
-      ("fcfi", with_forward_cfi);
-      ("shstk+fcfi", with_mitigations);
+      ("shstk", profile with_shadow_stack);
+      ("fcfi", profile with_forward_cfi);
+      ("shstk+fcfi", profile with_mitigations);
+      ( "div+shstk",
+        fun c -> { (profile with_shadow_stack c) with Connman.Dnsproxy.diversity_seed = Some 7 } );
     ]
 
 (* One machine-level parse of [raw_name]'s hostile response on a fresh
@@ -699,18 +828,20 @@ let test_observer_invariance () =
       List.iter
         (fun (variant, mitigate) ->
           let name = cell ^ " " ^ variant in
-          let config =
+          let stock =
             {
               Connman.Dnsproxy.version = Connman.Version.v1_34;
               arch;
-              profile = mitigate base;
+              profile = base;
               boot_seed = 41;
               diversity_seed = None;
             }
           in
+          let config = mitigate stock in
           let analysis =
             Connman.Dnsproxy.process
-              (Connman.Dnsproxy.create { config with Connman.Dnsproxy.boot_seed = 1041 })
+              (Connman.Dnsproxy.create
+                 { config with Connman.Dnsproxy.boot_seed = 1041; diversity_seed = None })
           in
           match Exploit.Autogen.generate ~analysis:(Exploit.Target.connman analysis) () with
           | Error e -> Alcotest.failf "%s: generation failed: %s" name e
@@ -746,6 +877,7 @@ let () =
       ( "interpreters vs reference",
         [ qt prop_x86_differential; qt prop_arm_differential; qt prop_cross_isa ]
       );
+      ("mode lattice", [ qt prop_x86_lattice; qt prop_arm_lattice ]);
       ( "equivalent-instruction randomization",
         [
           qt prop_equiv_x86_preserves_semantics;
